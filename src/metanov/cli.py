@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .engine import (
@@ -24,8 +25,11 @@ from .wn import wn_eval
 def _identity_set(spec: str):
     try:
         return preset(spec)
-    except ValueError:
-        return load_identity_file(spec)
+    except ValueError as exc:
+        if os.path.exists(spec):
+            return load_identity_file(spec)
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _parse_md(text: str) -> dict[int, int]:

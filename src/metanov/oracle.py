@@ -5,25 +5,24 @@ sparse exact matrix of all identity consequences lying in that component
 (disjoint-block substitutions of bracketed words, wrapped in one-hole
 bracketed contexts) and computes dimensions, bases, and membership by
 exact elimination: fraction-free integer pivoting over Q, modular
-elimination over GF(p).
+elimination over GF(p).  The largest column of a row leads, so quotient
+bases are made of the earliest words under ``word_key``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .fields import GF, QQ, PrimeField, Rationals
+from .fields import GF, QQ, Rationals
 from .magma import (
     Atom,
     MagmaPoly,
     MagmaWord,
     associator,
     enumerate_words,
-    is_multilinear,
     leaves,
     multidegree,
     poly_variables,
@@ -180,8 +179,9 @@ def _var_multidegree(f: MagmaPoly) -> dict[int, int]:
 def linearize(f: MagmaPoly) -> MagmaPoly:
     """Full multilinearization of a multihomogeneous identity.
 
-    Variables are renumbered to v1..vn.  Over Q (or GF(p) with p larger
-    than the degree) the multilinear consequences are unchanged.
+    Variables are renumbered to v1..vn.  Over Q, or GF(p) with p larger
+    than every variable's multiplicity, the multilinear consequences are
+    unchanged; ``relation_rows`` refuses smaller p.
     """
     vmd = _var_multidegree(f)
     if all(m == 1 for m in vmd.values()):
@@ -235,19 +235,18 @@ class RelationMatrix:
         return len(self.rows)
 
 
-def _normalize_row(row: dict[int, object], field) -> tuple[tuple[int, object], ...]:
-    items = sorted(row.items())
+def _normalized(r: dict[int, object], field) -> dict[int, object]:
+    """The canonical multiple of a nonzero vector, its largest column leading:
+    content-stripped integers with positive lead over Q, lead 1 over GF(p)."""
+    lead = max(r)
     if isinstance(field, Rationals):
-        den = lcm(*(c.denominator for _, c in items)) if items else 1
-        ints = [(col, int(c * den)) for col, c in items]
-        g = 0
-        for _, c in ints:
-            g = gcd(g, c)
-        if ints[0][1] < 0:
-            g = -g
-        return tuple((col, c // g) for col, c in ints)
-    inv = field.inv(items[0][1])
-    return tuple((col, field.mul(c, inv)) for col, c in items)
+        den = lcm(*(c.denominator for c in r.values()))
+        ints = {col: int(c * den) for col, c in r.items()}
+        g = gcd(*ints.values())
+        g = -g if ints[lead] < 0 else g
+        return {col: c // g for col, c in ints.items()}
+    inv = field.inv(r[lead])
+    return {col: field.mul(c, inv) for col, c in r.items()}
 
 
 def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
@@ -258,6 +257,11 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
         raise DegreeCapExceeded(f"degree {n} exceeds cap {cap}")
     if 0 in md:
         raise ValueError("generator index 0 is reserved")
+    for f in ids.identities:
+        if 0 < field.char <= max(_var_multidegree(f).values()):
+            raise ValueError(f"{ids.name} repeats a variable {field.char} or more "
+                             f"times: linearization loses information in "
+                             f"characteristic {field.char}")
     words = enumerate_words(md)
     colindex = {w: i for i, w in enumerate(words)}
     seen: set[tuple[tuple[int, object], ...]] = set()
@@ -298,7 +302,7 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
                             row[col] = s
                     if not row:
                         continue
-                    norm = _normalize_row(row, field)
+                    norm = tuple(sorted(_normalized(row, field).items()))
                     if norm not in seen:
                         seen.add(norm)
                         rows.append(norm)
@@ -309,11 +313,11 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
 
 
 class Echelon:
-    """Incremental sparse row echelon form.
+    """Incremental sparse row echelon form; the largest column of a row leads.
 
-    Over Q rows are kept as content-stripped integer vectors and combined
-    fraction-free; over GF(p) pivots are normalized to leading coefficient 1.
-    Pivot columns follow word enumeration order (smallest column leads).
+    Rows are dicts of nonzero entries: integers over Q, combined
+    fraction-free, and ints in ``[1, p)`` over GF(p).  Pivots are kept
+    ``_normalized``.  Reduction updates one residual dict in place.
     """
 
     def __init__(self, field):
@@ -325,67 +329,51 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _strip(self, r: dict[int, int]) -> dict[int, int]:
-        g = 0
-        for c in r.values():
-            g = gcd(g, c)
-        lead = min(r)
-        if r[lead] < 0:
-            g = -g
-        if g not in (0, 1):
-            return {col: c // g for col, c in r.items()}
-        return r
-
     def reduce(self, row: dict[int, object]) -> dict[int, object]:
         """Residual of a row after reduction against the current pivots."""
         r = dict(row)
+        pivots = self.pivots
         if self.rational:
-            # go fraction-free
-            if r and any(isinstance(c, Fraction) for c in r.values()):
-                den = lcm(*(Fraction(c).denominator for c in r.values()))
-                r = {col: int(Fraction(c) * den) for col, c in r.items()}
             while r:
-                lead = min(r)
-                p = self.pivots.get(lead)
-                if p is None:
-                    return self._strip(r)
-                a, b = p[lead], r[lead]
+                lead = max(r)
+                piv = pivots.get(lead)
+                if piv is None:
+                    break
+                # r <- ma*r - mb*piv cancels the lead
+                a, b = piv[lead], r[lead]
                 g = gcd(a, b)
                 ma, mb = a // g, b // g
-                new: dict[int, int] = {col: ma * c for col, c in r.items()}
-                for col, c in p.items():
-                    s = new.get(col, 0) - mb * c
-                    if s == 0:
-                        new.pop(col, None)
+                if ma != 1:
+                    for col in r:
+                        r[col] *= ma
+                for col, c in piv.items():
+                    s = r.get(col, 0) - mb * c
+                    if s:
+                        r[col] = s
                     else:
-                        new[col] = s
-                r = new
-            return r
-        f = self.field
-        while r:
-            lead = min(r)
-            p = self.pivots.get(lead)
-            if p is None:
-                inv = f.inv(r[lead])
-                return {col: f.mul(c, inv) for col, c in r.items()}
-            b = r[lead]
-            new = {}
-            for col, c in r.items():
-                new[col] = c
-            for col, c in p.items():
-                s = f.sub(new.get(col, f.zero), f.mul(b, c))
-                if s == f.zero:
-                    new.pop(col, None)
-                else:
-                    new[col] = s
-            r = new
-        return r
+                        del r[col]
+        else:
+            p = self.field.p
+            while r:
+                lead = max(r)
+                piv = pivots.get(lead)
+                if piv is None:
+                    break
+                # piv's lead is 1, so r <- r - b*piv cancels the lead
+                b = r[lead]
+                for col, c in piv.items():
+                    s = (r.get(col, 0) - b * c) % p
+                    if s:
+                        r[col] = s
+                    else:
+                        del r[col]
+        return _normalized(r, self.field) if r else r
 
     def add_row(self, row: dict[int, object]) -> bool:
         r = self.reduce(row)
         if not r:
             return False
-        self.pivots[min(r)] = r
+        self.pivots[max(r)] = r
         return True
 
     def contains(self, row: dict[int, object]) -> bool:
@@ -396,6 +384,8 @@ def _echelon(matrix: RelationMatrix) -> Echelon:
     ech = Echelon(matrix.field)
     # unit rows first: they become pivots instantly and keep fill-in low
     for row in sorted(matrix.rows, key=lambda r: (len(r), r[0][0])):
+        if ech.rank == matrix.ncols:
+            break
         ech.add_row(dict(row))
     return ech
 
@@ -409,7 +399,9 @@ def quotient_dimension(ids: IdentitySet, md: Mapping[int, int], field=QQ,
 
 def quotient_basis(ids: IdentitySet, md: Mapping[int, int], field=QQ,
                    cap: int = DEFAULT_DEGREE_CAP) -> list[MagmaWord]:
-    """Words whose classes form a basis of the md-component (non-pivot columns)."""
+    """Words whose classes form a basis of the md-component: the non-pivot
+    columns, which (the largest column of a row leading) are the basis picked
+    greedily from the smallest word under ``word_key`` up."""
     matrix = relation_rows(ids, md, field, cap)
     ech = _echelon(matrix)
     return [w for i, w in enumerate(matrix.words) if i not in ech.pivots]
@@ -418,9 +410,10 @@ def quotient_basis(ids: IdentitySet, md: Mapping[int, int], field=QQ,
 def membership(f: MagmaPoly, ids: IdentitySet, field=None,
                cap: int = DEFAULT_DEGREE_CAP) -> bool:
     """True iff f lies in the T-ideal of ``ids`` (f = 0 in the free algebra)."""
+    field = field if field is not None else f.field
+    f = MagmaPoly(f.terms, field)  # coefficients that vanish in ``field`` drop
     if f.is_zero():
         return True
-    field = field if field is not None else f.field
     mds = [multidegree(w) for w in f.terms]
     md = mds[0]
     if any(m != md for m in mds[1:]):
@@ -428,8 +421,8 @@ def membership(f: MagmaPoly, ids: IdentitySet, field=None,
     matrix = relation_rows(ids, md, field, cap)
     ech = _echelon(matrix)
     colindex = {w: i for i, w in enumerate(matrix.words)}
-    vec = {colindex[w]: field.coerce(c) for w, c in f.terms.items()}
-    return ech.contains(vec)
+    vec = {colindex[w]: c for w, c in f.terms.items()}
+    return ech.contains(_normalized(vec, field))
 
 
 def dimension_cross_check(ids: IdentitySet, md: Mapping[int, int],

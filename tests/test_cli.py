@@ -64,6 +64,13 @@ def test_dim_from_identity_file(capsys, tmp_path):
     assert out.strip() == "1"
 
 
+def test_dim_unknown_preset(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--identities", "nosuch", "--multidegree", "1,1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip() == "error: unknown identity preset 'nosuch'"
+
+
 def test_basis(capsys):
     code, out = run(capsys, "basis", "--identities", "wnov2",
                     "--multidegree", "1,1")

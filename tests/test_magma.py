@@ -77,6 +77,17 @@ def test_enumeration_count_is_catalan_times_multinomial():
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
+def test_enumeration_is_built_in_word_key_order():
+    for md in ({i: 1 for i in range(1, 6)}, {1: 2, 2: 2, 3: 1}, {4: 3}):
+        words = enumerate_words(md)
+        keys = [word_key(w) for w in words]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert all(multidegree(w) == md for w in words)
+        n = sum(md.values())
+        assert len(words) == _catalan(n - 1) * math.factorial(n) // math.prod(
+            math.factorial(m) for m in md.values())
+
+
 def test_associator_commutator_circle():
     a, b, c = x(1), x(2), x(3)
     assert associator(a, b, c) == (a * b) * c - a * (b * c)

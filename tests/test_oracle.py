@@ -1,5 +1,7 @@
 """T-ideal oracle: linearization, relation rows, dimensions, membership."""
 
+import random
+
 import pytest
 
 from metanov import (
@@ -15,8 +17,8 @@ from metanov import (
     relation_rows,
 )
 from metanov.fields import GF, QQ
-from metanov.magma import multidegree, v, x
-from metanov.oracle import DegreeCapExceeded, linearize
+from metanov.magma import MagmaPoly, multidegree, v, x
+from metanov.oracle import DegreeCapExceeded, Echelon, _echelon, linearize
 from metanov.wlc import wlc_basis
 from metanov.wn import wn_basis
 
@@ -82,14 +84,25 @@ def test_multilinear_dimension_sequence():
 
 def test_q_and_modular_dimensions_agree():
     assert dimension_cross_check(preset("wnov2"), {1: 1, 2: 1, 3: 1, 4: 1}) == 16
+    assert dimension_cross_check(preset("wnov2"), {1: 2, 2: 1, 3: 1}) == len(
+        wn_basis({1: 2, 2: 1, 3: 1}))
+    assert dimension_cross_check(preset("wlc2"), {1: 1, 2: 1, 3: 1, 4: 1}) == 72
     assert dimension_cross_check(preset("wlc2"), {1: 2, 2: 1, 3: 1}) == 36
 
 
 def test_quotient_basis_spans():
-    md = {1: 1, 2: 1, 3: 1}
-    basis = quotient_basis(preset("wnov2"), md)
-    assert len(basis) == 9
-    assert all(multidegree(w) == md for w in basis)
+    for name, md, dim in (("wnov2", {1: 1, 2: 1, 3: 1}, 9),
+                          ("wlc2", {1: 2, 2: 1}, len(wlc_basis({1: 2, 2: 1})))):
+        ids = preset(name)
+        basis = quotient_basis(ids, md)
+        assert len(basis) == dim == quotient_dimension(ids, md)
+        assert all(multidegree(w) == md for w in basis)
+        matrix = relation_rows(ids, md)
+        pivot_words = {matrix.words[col] for col in _echelon(matrix).pivots}
+        assert not pivot_words & set(basis)
+        # independent modulo the T-ideal, not just a spanning set
+        combo = MagmaPoly({w: i + 1 for i, w in enumerate(basis)})
+        assert not membership(combo, ids)
 
 
 def test_membership_of_consequences():
@@ -142,6 +155,39 @@ def test_union_concatenates():
     u = preset("rs").union(preset("met"))
     assert len(u.identities) == 2
     assert "rs" in u.name and "met" in u.name
+
+
+def test_linearization_refuses_small_characteristic():
+    # v1*(v1*v1) repeats v1 three times: its full linearization is 3! times
+    # the identity, which vanishes in characteristic 3
+    cube = IdentitySet("cube", (v(1) * (v(1) * v(1)),))
+    f = parse_expr("x1*(x1*x1)")
+    with pytest.raises(ValueError, match="characteristic 3"):
+        membership(f, cube, GF(3))
+    with pytest.raises(ValueError, match="characteristic 3"):
+        quotient_dimension(cube, {1: 3}, GF(3))
+    for field in (GF(5), QQ):
+        assert membership(f, cube, field)
+        assert quotient_dimension(cube, {1: 3}, field) == 1
+
+
+def test_pivots_independent_of_row_order():
+    # the largest-column leads of any echelon form are fixed by the row space
+    rng = random.Random(7)
+    for name, md in (("wnov2", {1: 1, 2: 1, 3: 1, 4: 1}), ("wlc2", {1: 2, 2: 1, 3: 1})):
+        for field in (QQ, GF(1009)):
+            matrix = relation_rows(preset(name), md, field)
+            rows = list(matrix.rows)
+            rng.shuffle(rows)
+            ech = Echelon(field)
+            for row in rows:
+                ech.add_row(dict(row))
+            assert ech.pivots.keys() == _echelon(matrix).pivots.keys()
+
+
+def test_wnov2_degree_six_multilinear_dimension():
+    md = {i: 1 for i in range(1, 7)}
+    assert quotient_dimension(preset("wnov2"), md, GF(1009)) == 6 == len(wn_basis(md))
 
 
 def _leaves(w):
