@@ -25,11 +25,10 @@ from .wn import wn_eval
 def _identity_set(spec: str):
     try:
         return preset(spec)
-    except ValueError as exc:
+    except ValueError:
         if os.path.exists(spec):
             return load_identity_file(spec)
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise
 
 
 def _parse_md(text: str) -> dict[int, int]:
@@ -178,8 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Errors in the input (bad expressions, fields,
+    identities or degrees) exit with status 2 and one ``error:`` line on
+    stderr, as argparse does for bad arguments."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -3,15 +3,21 @@ exact-coefficient linear combinations.
 
 Leaves are either generators ``x<k>`` or formal identity variables ``v<k>``;
 the two index spaces are disjoint, so substitution never captures.
+
+This module owns the word order (``word_key``).  Within one multidegree
+it is the product of two sorted factors, ``shape_preorders`` and
+``leaf_sequences``, which the oracle uses to index words without
+building them.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from typing import Iterator, Mapping
 
 from .fields import QQ
+from .multisets import distinct_permutations
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,11 +59,11 @@ def leaves(w: MagmaWord) -> tuple[Atom, ...]:
     return leaves(w.left) + leaves(w.right)
 
 
-def _shape(w: MagmaWord) -> tuple[int, ...]:
-    # preorder traversal: 0 = leaf, 1 = internal node
+def shape_preorder(w: MagmaWord) -> tuple[int, ...]:
+    """Preorder traversal of w's tree: 0 = leaf, 1 = internal node."""
     if isinstance(w, Atom):
         return (0,)
-    return (1,) + _shape(w.left) + _shape(w.right)
+    return (1,) + shape_preorder(w.left) + shape_preorder(w.right)
 
 
 _KIND_ORDER = {"x": 0, "v": 1}
@@ -67,7 +73,7 @@ def word_key(w: MagmaWord):
     """Total order on words: (degree, shape preorder, leaf sequence)."""
     return (
         degree(w),
-        _shape(w),
+        shape_preorder(w),
         tuple((_KIND_ORDER[a.kind], a.index) for a in leaves(w)),
     )
 
@@ -80,10 +86,6 @@ def multidegree(w: MagmaWord) -> dict[int, int]:
             raise ValueError(f"word contains non-generator leaf {a!r}")
         md[a.index] = md.get(a.index, 0) + 1
     return md
-
-
-def total_degree(md: Mapping[int, int]) -> int:
-    return sum(md.values())
 
 
 class MagmaPoly:
@@ -312,20 +314,40 @@ def is_multilinear(f: MagmaPoly) -> bool:
 
 
 # -- word enumeration ------------------------------------------------
+#
+# Word i * len(seqs) + j of ``enumerate_words(md)`` is shape i of
+# ``shape_preorders(n)`` filled with sequence j of ``seqs =
+# leaf_sequences(md)``.
 
 
-def _shapes(n: int) -> list[MagmaWord]:
-    """All binary trees with n leaves, every leaf the placeholder x0."""
+@lru_cache(maxsize=None)
+def shape_preorders(n: int) -> tuple[tuple[int, ...], ...]:
+    """Preorders (1 = node, 0 = leaf) of all binary trees with n leaves, sorted."""
     if n == 1:
-        return [Atom("x", 0)]
-    return [Node(l, r) for i in range(1, n) for l in _shapes(i) for r in _shapes(n - i)]
+        return ((0,),)
+    return tuple(sorted((1,) + l + r for i in range(1, n)
+                        for l in shape_preorders(i)
+                        for r in shape_preorders(n - i)))
 
 
-def _fill(shape: MagmaWord, letters: Iterator[Atom]) -> MagmaWord:
-    """``shape`` with its leaves replaced, left to right, by ``letters``."""
-    if isinstance(shape, Atom):
-        return next(letters)
-    return Node(_fill(shape.left, letters), _fill(shape.right, letters))
+def leaf_sequences(md: Mapping[int, int]) -> list[tuple[int, ...]]:
+    """All distinct sequences of generator indices with multidegree md, sorted."""
+    letters: list[int] = []
+    for g in sorted(md):
+        if md[g] < 1:
+            raise ValueError("multiplicities must be >= 1")
+        letters.extend([g] * md[g])
+    if not letters:
+        raise ValueError("total degree must be >= 1")
+    return list(distinct_permutations(letters))
+
+
+def _build(shape: Iterator[int], letters: Iterator[Atom]) -> MagmaWord:
+    """The word whose preorder is ``shape`` and whose leaves are ``letters``."""
+    if next(shape):
+        left = _build(shape, letters)
+        return Node(left, _build(shape, letters))
+    return next(letters)
 
 
 def enumerate_words(md: Mapping[int, int]) -> list[MagmaWord]:
@@ -338,14 +360,7 @@ def enumerate_words(md: Mapping[int, int]) -> list[MagmaWord]:
     the small-object allocator's arenas for the calls that follow and
     makes a later call's peak memory some 7 MiB higher than the first's.
     """
-    letters: list[Atom] = []
-    for g in sorted(md):
-        if md[g] < 1:
-            raise ValueError("multiplicities must be >= 1")
-        letters.extend(Atom("x", g) for _ in range(md[g]))
-    if not letters:
-        raise ValueError("total degree must be >= 1")
-    seqs = sorted(set(itertools.permutations(letters)),
-                  key=lambda s: tuple(a.index for a in s))
-    shapes = sorted(_shapes(len(letters)), key=_shape)
-    return [_fill(shape, iter(seq)) for shape in shapes for seq in seqs]
+    seqs = leaf_sequences(md)
+    atoms = {g: Atom("x", g) for g in md}
+    return [_build(iter(shape), map(atoms.__getitem__, seq))
+            for shape in shape_preorders(len(seqs[0])) for seq in seqs]

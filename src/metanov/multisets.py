@@ -34,8 +34,8 @@ def sub_multisets(md: Mapping[int, int]) -> Iterator[dict[int, int]]:
         yield {g: c for g, c in zip(gens, counts) if c}
 
 
-def ordered_partitions(md: Mapping[int, int], nblocks: int,
-                       allow_empty_rest: bool = True) -> Iterator[tuple[list[dict[int, int]], dict[int, int]]]:
+def ordered_partitions(md: Mapping[int, int],
+                       nblocks: int) -> Iterator[tuple[list[dict[int, int]], dict[int, int]]]:
     """Split md into ``nblocks`` nonempty labeled sub-multisets plus a rest.
 
     Yields (blocks, rest); rest may be empty.

@@ -7,12 +7,21 @@ bracketed contexts) and computes dimensions, bases, and membership by
 exact elimination: fraction-free integer pivoting over Q, modular
 elimination over GF(p).  The largest column of a row leads, so quotient
 bases are made of the earliest words under ``word_key``.
+
+Rows are built on flat words, never on ``Node`` trees: a word is a pair
+(shape preorder, leaf sequence), each identity term a template of the
+preorder segments between its leaves, and composing words is tuple
+concatenation.  The column order is ``magma``'s: a word's column is its
+shape's rank in ``shape_preorders`` times the number of leaf sequences,
+plus its sequence's rank in ``leaf_sequences``.  Coefficients are ints:
+each identity is scaled to integers over Q and reduced mod p over GF(p).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
@@ -23,18 +32,19 @@ from .magma import (
     MagmaWord,
     associator,
     enumerate_words,
+    leaf_sequences,
     leaves,
     multidegree,
     poly_variables,
     replace_leaves,
+    shape_preorder,
+    shape_preorders,
     substitute,
     v,
 )
 from .multisets import md_total, ordered_partitions
 
 DEFAULT_DEGREE_CAP = 6
-
-_HOLE = Atom("x", 0)  # generator index 0 is reserved for context holes
 
 
 class DegreeCapExceeded(ValueError):
@@ -223,7 +233,7 @@ def linearize(f: MagmaPoly) -> MagmaPoly:
 @dataclass
 class RelationMatrix:
     words: list[MagmaWord]
-    rows: list[tuple[tuple[int, object], ...]]  # sparse (col, coeff), sorted
+    rows: list[tuple[tuple[int, int], ...]]  # sparse (col, int coeff), sorted
     field: object
 
     @property
@@ -235,23 +245,82 @@ class RelationMatrix:
         return len(self.rows)
 
 
-def _normalized(r: dict[int, object], field) -> dict[int, object]:
-    """The canonical multiple of a nonzero vector, its largest column leading:
-    content-stripped integers with positive lead over Q, lead 1 over GF(p)."""
+def _normalized(r: dict[int, int], field) -> dict[int, int]:
+    """The canonical multiple of a nonzero integer vector (entries in
+    ``[1, p)`` over GF(p)), its largest column leading: content-stripped
+    with positive lead over Q, lead 1 over GF(p).  May return r itself."""
     lead = max(r)
     if isinstance(field, Rationals):
-        den = lcm(*(c.denominator for c in r.values()))
-        ints = {col: int(c * den) for col, c in r.items()}
-        g = gcd(*ints.values())
-        g = -g if ints[lead] < 0 else g
-        return {col: c // g for col, c in ints.items()}
-    inv = field.inv(r[lead])
-    return {col: field.mul(c, inv) for col, c in r.items()}
+        g = gcd(*r.values())
+        g = -g if r[lead] < 0 else g
+        return r if g == 1 else {col: c // g for col, c in r.items()}
+    p = field.p
+    inv = pow(r[lead], -1, p)
+    return r if inv == 1 else {col: c * inv % p for col, c in r.items()}
+
+
+def _cleared(cs: Sequence[Fraction]) -> list[int]:
+    """Rationals times the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in cs))
+    return [int(c * den) for c in cs]
+
+
+def _coefficients(lin: MagmaPoly, field, f: MagmaPoly, name: str) -> list[int]:
+    """The coefficients of ``lin``, the linearization of f, as ints: over Q
+    scaled by the lcm of their denominators (rows are content-stripped
+    anyway), over GF(p) reduced mod p."""
+    cs = [Fraction(c) for c in lin.terms.values()]
+    if isinstance(field, Rationals):
+        return _cleared(cs)
+    p = field.p
+    for c in cs:
+        if c.denominator % p == 0:
+            from .exprs import render
+            raise ValueError(f"identity {render(f)} = 0 of {name} has the "
+                             f"coefficient {c}, whose denominator vanishes "
+                             f"mod {p}")
+    return [c.numerator * pow(c.denominator, -1, p) % p for c in cs]
+
+
+def _template(w: MagmaWord, vs: tuple[int, ...]):
+    """A term of a linearized identity, cut at its leaves: the preorder
+    segment in front of each leaf, and the block index each leaf takes."""
+    shape, atoms = shape_preorder(w), leaves(w)
+    if any(a.kind != "v" for a in atoms):
+        raise ValueError(f"identity term {w!r} has a generator leaf; "
+                         f"identities are over v-variables only")
+    segments, start = [], 0
+    for i, t in enumerate(shape):
+        if not t:
+            segments.append(shape[start:i])
+            start = i + 1
+    return tuple(segments), tuple(vs.index(a.index) for a in atoms)
+
+
+def _flat_words(md: Mapping[int, int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The words of ``enumerate_words(md)`` as (shape preorder, leaf sequence)."""
+    seqs = leaf_sequences(md)
+    return [(shape, seq) for shape in shape_preorders(md_total(md)) for seq in seqs]
+
+
+def _contexts(rest: Mapping[int, int]):
+    """One-hole contexts over ``rest``, in word order, each cut at its hole:
+    (preorder before, preorder after, leaves before, leaves after)."""
+    if not rest:
+        return [((), (), (), ())]
+    out = []
+    for shape, seq in _flat_words({**rest, 0: 1}):
+        h = seq.index(0)
+        pos = [i for i, t in enumerate(shape) if not t][h]
+        out.append((shape[:pos], shape[pos + 1:], seq[:h], seq[h + 1:]))
+    return out
 
 
 def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
                   cap: int = DEFAULT_DEGREE_CAP) -> RelationMatrix:
-    """All T-ideal consequence rows of ``ids`` in the ``md`` component."""
+    """All T-ideal consequence rows of ``ids`` in the ``md`` component,
+    built on flat words (see the module docstring); column i is word i of
+    ``enumerate_words(md)``."""
     n = md_total(md)
     if n > cap:
         raise DegreeCapExceeded(f"degree {n} exceeds cap {cap}")
@@ -263,45 +332,55 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
                              f"times: linearization loses information in "
                              f"characteristic {field.char}")
     words = enumerate_words(md)
-    colindex = {w: i for i, w in enumerate(words)}
-    seen: set[tuple[tuple[int, object], ...]] = set()
-    rows: list[tuple[tuple[int, object], ...]] = []
-    word_cache: dict[tuple[tuple[int, int], ...], list[MagmaWord]] = {}
+    seqs = leaf_sequences(md)
+    nseq = len(seqs)
+    shape_offset = {shape: i * nseq for i, shape in enumerate(shape_preorders(n))}
+    seq_rank = {seq: i for i, seq in enumerate(seqs)}
+    cols = list(range(len(words)))  # one int object per column, shared by rows
+    p = None if isinstance(field, Rationals) else field.p
+    seen: set[tuple[tuple[int, int], ...]] = set()
+    rows: list[tuple[tuple[int, int], ...]] = []
+    cache: dict[tuple, list] = {}
 
-    def words_of(sub_md: Mapping[int, int]) -> list[MagmaWord]:
-        key = tuple(sorted(sub_md.items()))
-        if key not in word_cache:
-            word_cache[key] = enumerate_words(sub_md)
-        return word_cache[key]
+    def cached(fn, sub_md: Mapping[int, int]) -> list:
+        key = (fn, *sorted(sub_md.items()))
+        if key not in cache:
+            cache[key] = fn(sub_md)
+        return cache[key]
 
     for f in ids.identities:
-        f = linearize(f)
-        vs = poly_variables(f)
+        lin = linearize(f)
+        vs = poly_variables(lin)
         m = len(vs)
         if m > n:
             continue
-        fterms = [(w, field.coerce(c)) for w, c in f.terms.items()]
+        coeffs = _coefficients(lin, field, f, ids.name)
+        templates = [_template(w, vs) + (c,)
+                     for w, c in zip(lin.terms, coeffs) if c]
         for blocks, rest in ordered_partitions(md, m):
-            block_words = [words_of(b) for b in blocks]
-            if rest:
-                contexts = words_of({**rest, 0: 1})
-            else:
-                contexts = [_HOLE]
-            for combo in itertools.product(*block_words):
-                mapping = {Atom("v", vs[i]): combo[i] for i in range(m)}
-                subbed = [(replace_leaves(wf, mapping), c) for wf, c in fterms]
-                for ctx in contexts:
-                    row: dict[int, object] = {}
-                    for ws, c in subbed:
-                        final = replace_leaves(ctx, {_HOLE: ws})
-                        col = colindex[final]
-                        s = field.add(row.get(col, field.zero), c)
-                        if s == field.zero:
-                            row.pop(col, None)
-                        else:
-                            row[col] = s
-                    if not row:
-                        continue
+            contexts = cached(_contexts, rest)
+            for combo in itertools.product(*(cached(_flat_words, b) for b in blocks)):
+                subbed = []
+                for segments, slots, c in templates:
+                    shape, seq = (), ()
+                    for seg, k in zip(segments, slots):
+                        shape += seg + combo[k][0]
+                        seq += combo[k][1]
+                    subbed.append((shape, seq, c))
+                for pre, post, left, right in contexts:
+                    row: dict[int, int] = {}
+                    for shape, seq, c in subbed:
+                        col = cols[shape_offset[pre + shape + post]
+                                   + seq_rank[left + seq + right]]
+                        row[col] = row[col] + c if col in row else c
+                    if len(row) < len(subbed):
+                        # terms met in a column: their sum may vanish, and
+                        # over GF(p) it may leave [1, p)
+                        if p is not None:
+                            row = {col: c % p for col, c in row.items()}
+                        row = {col: c for col, c in row.items() if c}
+                        if not row:
+                            continue
                     norm = tuple(sorted(_normalized(row, field).items()))
                     if norm not in seen:
                         seen.add(norm)
@@ -422,7 +501,9 @@ def membership(f: MagmaPoly, ids: IdentitySet, field=None,
     ech = _echelon(matrix)
     colindex = {w: i for i, w in enumerate(matrix.words)}
     vec = {colindex[w]: c for w, c in f.terms.items()}
-    return ech.contains(_normalized(vec, field))
+    if isinstance(field, Rationals):
+        vec = dict(zip(vec, _cleared(list(vec.values()))))
+    return ech.contains(vec)
 
 
 def dimension_cross_check(ids: IdentitySet, md: Mapping[int, int],

@@ -117,3 +117,45 @@ def test_verify_suite_exit_codes(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith("[")]
     assert lines and all(l.startswith("[PASS]") for l in lines)
+
+
+def fail(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    return err
+
+
+def test_error_unparenthesized_product(capsys):
+    err = fail(capsys, "normalize", "--algebra", "wnov", "x1*x2*x3")
+    assert "needs explicit parentheses" in err
+
+
+def test_error_degree_cap(capsys):
+    err = fail(capsys, "dim", "--identities", "wnov2", "--multidegree", "1,1,1",
+               "--cap", "2")
+    assert err == "error: degree 3 exceeds cap 2"
+
+
+def test_error_modulus_not_prime(capsys):
+    err = fail(capsys, "dim", "--identities", "wnov2", "--multidegree", "1,1",
+               "--field", "fp:4")
+    assert err == "error: modulus 4 is not prime"
+
+
+def test_error_linearization_in_small_characteristic(capsys, tmp_path):
+    p = tmp_path / "cube.txt"
+    p.write_text("v1*(v1*v1) = 0\n")
+    err = fail(capsys, "dim", "--identities", str(p), "--multidegree", "3",
+               "--field", "fp:3")
+    assert "characteristic 3" in err
+
+
+def test_error_vanishing_denominator(capsys, tmp_path):
+    p = tmp_path / "ids.txt"
+    p.write_text("1/3 v1*v2 + v2*v1 = 0\n")
+    err = fail(capsys, "dim", "--identities", str(p), "--multidegree", "1,1",
+               "--field", "fp:3")
+    assert "denominator vanishes mod 3" in err
