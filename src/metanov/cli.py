@@ -7,11 +7,7 @@ import json
 import os
 import sys
 
-from .engine import (
-    check_identity,
-    classify_multilinear,
-    get_algebra,
-)
+from .engine import check_identity, classify_multilinear
 from .exprs import parse_expr, parse_identity, render
 from .fields import QQ, parse_field
 from .multisets import md_from_list
@@ -73,9 +69,10 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_check_identity(args) -> int:
-    get_algebra(args.algebra)
+    field = parse_field(args.field)
     f = parse_identity(args.identity)
-    rep = check_identity(args.algebra, f, max_degree=args.max_degree)
+    rep = check_identity(args.algebra, f, max_degree=args.max_degree,
+                         pool=args.pool, field=field)
     if rep.holds:
         print(f"holds ({rep.domain})")
         return 0
@@ -156,6 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--identity", required=True,
                     help="expression over v-vars, e.g. 'A(v1,v2,v3) - A(v1,v3,v2) = 0'")
     sp.add_argument("--max-degree", type=int, default=7)
+    sp.add_argument("--pool", type=int, default=5,
+                    help="substitute basis elements over x1..x<pool>")
+    sp.add_argument("--field", default="q")
     sp.set_defaults(fn=_cmd_check_identity)
 
     sp = sub.add_parser("membership", help="T-ideal membership of an expression")

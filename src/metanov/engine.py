@@ -2,16 +2,28 @@
 identity checking by exhaustive basis substitution, left-nilpotency
 indices, desk-scale nilpotency profiles, and the multilinear-identity
 classification into nilpotent bounds vs non-nilpotent candidate forms.
+
+The substitution sweep of ``check_identity`` is compiled once per call:
+every distinct subword of the identity becomes an evaluator with an int
+id, its children's evaluators and the tuple of variable slots it
+contains, and every basis element met gets an int id, so a memo key is a
+tuple of ints and no ``Node`` is hashed in the sweep.  Values are
+``{element id: int}`` dicts: both tables have integer structure
+constants, so the sweep is exact over Z, with the identity's
+coefficients cleared of denominators over Q and reduced mod p over
+GF(p).  Products of two basis elements are cached for one call.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from . import wlc, wn
-from .fields import GF, QQ
+from .fields import GF, QQ, Rationals
 from .magma import (
     Atom,
     MagmaPoly,
@@ -20,30 +32,33 @@ from .magma import (
     multidegree,
     poly_variables,
     replace_leaves,
+    v,
 )
 from .multisets import md_total, partitions_of
-from .oracle import DEFAULT_DEGREE_CAP, IdentitySet, preset, quotient_dimension
+from .oracle import (
+    DEFAULT_DEGREE_CAP,
+    IdentitySet,
+    _coefficients,
+    preset,
+    quotient_dimension,
+)
 
 
 @dataclass(frozen=True)
 class TableAlgebra:
     name: str
-    gen: object
-    eval_poly: object
-    basis: object
-    zero: object
-    degree_of: object
+    element: type  # the LinComb subclass of the algebra's elements
+    basis: object  # multidegree -> sorted basis keys
+    mul: object  # product of two basis keys over Q
 
 
+# The products go through the module attribute at call time, so a
+# rebinding of ``wn.wn_mul``/``wlc.wlc_mul`` (as a tracer does) is seen.
 _ALGEBRAS = {
-    "wlc": TableAlgebra(
-        "wlc", wlc.gen, wlc.wlc_eval, wlc.wlc_basis,
-        wlc.WlcElement.zero, lambda k: k.degree,
-    ),
-    "wnov": TableAlgebra(
-        "wnov", wn.gen, wn.wn_eval, wn.wn_basis,
-        wn.WnElement.zero, lambda k: k.degree,
-    ),
+    "wlc": TableAlgebra("wlc", wlc.WlcElement, wlc.wlc_basis,
+                        lambda a, b: wlc.wlc_mul(a, b, QQ)),
+    "wnov": TableAlgebra("wnov", wn.WnElement, wn.wn_basis,
+                         lambda a, b: wn.wn_mul(a, b, QQ)),
 }
 
 
@@ -67,8 +82,8 @@ def _multidegrees(pool: int, total: int):
             yield md
 
 
-def basis_elements_by_degree(alg: TableAlgebra, max_degree: int, pool: int,
-                             field=QQ) -> dict[int, list]:
+def basis_elements_by_degree(alg: TableAlgebra, max_degree: int,
+                             pool: int) -> dict[int, list]:
     """Basis keys of each degree <= max_degree with indices from x1..x<pool>."""
     out: dict[int, list] = {}
     for d in range(1, max_degree + 1):
@@ -77,33 +92,6 @@ def basis_elements_by_degree(alg: TableAlgebra, max_degree: int, pool: int,
             keys.extend(alg.basis(md))
         out[d] = keys
     return out
-
-
-def _element_of(alg: TableAlgebra, key, field):
-    z = alg.zero(field)
-    e = type(z).basis(key, field)
-    return e
-
-
-def _eval_at(alg: TableAlgebra, f: MagmaPoly, assignment: Mapping[int, object],
-             field):
-    """Value of f with formal variables bound to table-algebra elements."""
-    def ev(w):
-        if isinstance(w, Atom):
-            if w.kind == "v":
-                return assignment[w.index]
-            return alg.gen(w.index, field)
-        l = ev(w.left)
-        if l.is_zero():
-            return l
-        return l * ev(w.right)
-
-    total = alg.zero(field)
-    for w, c in f.terms.items():
-        val = ev(w)
-        if not val.is_zero():
-            total = total + val.scaled(c)
-    return total
 
 
 @dataclass
@@ -133,81 +121,125 @@ def _term_degree(w, slot_deg: Mapping[int, int]) -> int | None:
     return dl + dr
 
 
-def _term_vars(w) -> tuple[int, ...]:
-    return tuple(sorted(a.index for a in leaves(w) if a.kind == "v"))
+def _integral(c: Fraction) -> int:
+    """A table product's coefficient: both tables have integer constants."""
+    if c.denominator != 1:
+        raise ArithmeticError(f"table product coefficient {c} is not an integer")
+    return c.numerator
 
 
 def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
                    pool: int = 5, field=QQ) -> CheckReport:
     """Exhaustively substitute basis elements into a multilinear identity.
 
-    Both table algebras kill every product of two factors of degree >= 2,
-    so tuples assigning two or more slots an element of degree >= 2
-    evaluate to zero automatically and are skipped, as are individual
-    terms whose shape forces such a product on a given degree block.
-    Subterm values are memoized across the sweep of each block.
+    Degree blocks (a degree per variable) are swept by total degree, each
+    block's assignments in ``itertools.product`` order, and the first
+    nonzero value is the counterexample.  Both table algebras kill every
+    product of two factors of degree >= 2, so blocks assigning two or more
+    slots an element of degree >= 2 are skipped, as are terms whose shape
+    forces such a product on a block.  Within a block the value of each
+    proper subword is memoized on (subword id, ids of the elements at its
+    variable slots); see the module docstring for the compiled form.  Over
+    GF(p), a coefficient whose denominator vanishes mod p raises
+    ``ValueError``.
     """
     if not is_multilinear(f):
         raise ValueError("check_identity requires a multilinear identity")
     alg = get_algebra(algebra)
+    coeffs, den = _coefficients(f, field, f, f"checked in {algebra}")
+    p = None if isinstance(field, Rationals) else field.p
     vs = poly_variables(f)
     m = len(vs)
+    slot = {var: i for i, var in enumerate(vs)}
     domain = (f"basis elements over x1..x{pool}, result degree <= {max_degree}")
-    by_deg = basis_elements_by_degree(alg, max_degree - (m - 1), pool, field)
-    elems = {
-        d: [(k, _element_of(alg, k, field)) for k in keys]
-        for d, keys in by_deg.items()
-    }
-    zero = alg.zero(field)
-    term_support: dict = {}
+    by_deg = basis_elements_by_degree(alg, max_degree - (m - 1), pool)
+    keys = [k for d in sorted(by_deg) for k in by_deg[d]]
+    key_id = {k: i for i, k in enumerate(keys)}
+    ids = {d: [key_id[k] for k in ks] for d, ks in by_deg.items()}
+    unit = [{i: 1} for i in range(len(keys))]
 
-    def _collect_support(w):
-        if w in term_support:
-            return
-        term_support[w] = _term_vars(w)
-        if not isinstance(w, Atom):
-            _collect_support(w.left)
-            _collect_support(w.right)
+    def intern(k) -> int:
+        i = key_id.get(k)
+        if i is None:
+            i = key_id[k] = len(keys)
+            keys.append(k)
+        return i
 
-    for w in f.terms:
-        _collect_support(w)
+    cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+
+    def mul(l: dict, r: dict) -> dict:
+        out: dict[int, int] = {}
+        for a, ca in l.items():
+            for b, cb in r.items():
+                prod = cache.get((a, b))
+                if prod is None:
+                    prod = cache[a, b] = tuple(
+                        (intern(k), _integral(c))
+                        for k, c in alg.mul(keys[a], keys[b]).terms.items())
+                for k, c in prod:
+                    out[k] = out.get(k, 0) + ca * cb * c
+        return {k: c for k, c in out.items() if c} if 0 in out.values() else out
+
+    memo: dict[tuple, dict] = {}
+    compiled: dict = {}
+
+    def compile_(w):
+        """The evaluator of subword w: element id per slot -> value."""
+        if w in compiled:
+            return compiled[w]
+        if isinstance(w, Atom):
+            if w.kind == "v":
+                s = slot[w.index]
+                fn = lambda combo: unit[combo[s]]
+            else:
+                const = {intern(alg.basis({w.index: 1})[0]): 1}
+                fn = lambda combo: const
+        else:
+            left, right = compile_(w.left), compile_(w.right)
+            support = sorted({slot[a.index] for a in leaves(w) if a.kind == "v"})
+            if len(support) == m:
+                # distinct for every assignment: a memo entry is never read
+                def fn(combo):
+                    l = left(combo)
+                    return mul(l, right(combo)) if l else l
+            else:
+                nid = len(compiled)
+                sel = itemgetter(*support) if support else lambda combo: ()
+
+                def fn(combo):
+                    key = (nid, sel(combo))
+                    val = memo.get(key)
+                    if val is None:
+                        l = left(combo)
+                        val = memo[key] = mul(l, right(combo)) if l else l
+                    return val
+        compiled[w] = fn
+        return fn
+
+    terms = [(w, compile_(w), c) for w, c in zip(f.terms, coeffs) if c]
     deg_choices = sorted(
-        (degs for degs in itertools.product(sorted(elems), repeat=m)
+        (degs for degs in itertools.product(sorted(by_deg), repeat=m)
          if sum(degs) <= max_degree and sum(1 for d in degs if d >= 2) <= 1),
         key=lambda t: (sum(t), t),
     )
     for degs in deg_choices:
-        slot_deg = {vs[i]: degs[i] for i in range(m)}
-        live = [(w, c) for w, c in f.terms.items()
+        slot_deg = dict(zip(vs, degs))
+        live = [(fn, c) for w, fn, c in terms
                 if _term_degree(w, slot_deg) is not None]
         if not live:
             continue
-        memo: dict = {}
-
-        def ev(w, assignment):
-            if isinstance(w, Atom):
-                if w.kind == "v":
-                    return assignment[w.index]
-                return alg.gen(w.index, field)
-            key = (w, tuple(id(assignment[i]) for i in term_support[w]))
-            if key in memo:
-                return memo[key]
-            l = ev(w.left, assignment)
-            val = l if l.is_zero() else l * ev(w.right, assignment)
-            memo[key] = val
-            return val
-
-        for combo in itertools.product(*(elems[d] for d in degs)):
-            assignment = {vs[i]: combo[i][1] for i in range(m)}
-            total = zero
-            for w, c in live:
-                val = ev(w, assignment)
-                if not val.is_zero():
-                    total = total + val.scaled(c)
-            if not total.is_zero():
+        memo.clear()
+        for combo in itertools.product(*(ids[d] for d in degs)):
+            total: dict[int, int] = {}
+            for fn, c in live:
+                for k, x in fn(combo).items():
+                    total[k] = total.get(k, 0) + c * x
+            if any(total.values()) if p is None else any(x % p for x in total.values()):
+                value = {keys[k]: Fraction(x, den) for k, x in total.items()}
                 return CheckReport(
                     f, algebra, "counterexample",
-                    {vs[i]: combo[i][0] for i in range(m)}, total, domain,
+                    {var: keys[i] for var, i in zip(vs, combo)},
+                    alg.element(value, field), domain,
                 )
     return CheckReport(f, algebra, "holds", None, None, domain)
 
@@ -227,39 +259,26 @@ def left_nilpotency_index(algebra: str, cap: int = 6, pool: int = 5,
                           field=QQ) -> NilpotencyIndex:
     """Smallest k such that every left-normed product u1(u2(..(u_{k-1}u_k)))
     of basis elements vanishes, searching products of total degree <= cap.
+
+    For k = 2, 3, ... this is ``check_identity`` of v1(v2(..(v_{k-1}v_k)))
+    at ``max_degree=cap``: the same degree blocks in the same order, its
+    subword memo a cache of suffix products, and its counterexample the
+    witness (factors and value) of the next k.
     """
     if cap > 7:
         raise ValueError("cap must be <= 7")
     alg = get_algebra(algebra)
-    by_deg = basis_elements_by_degree(alg, cap, pool, field)
-    elems = {
-        d: [(k, _element_of(alg, k, field)) for k in keys]
-        for d, keys in by_deg.items()
-    }
-    prev = ((alg.basis({1: 1})[0],), alg.gen(1, field))
+    key = alg.basis({1: 1})[0]
+    witness = ((key,), alg.element.basis(key, field))
     for k in range(2, cap + 1):
-        found = None
-        deg_choices = sorted(
-            (degs for degs in itertools.product(sorted(elems), repeat=k)
-             if sum(degs) <= cap and sum(1 for d in degs if d >= 2) <= 1),
-            key=lambda t: (sum(t), t),
-        )
-        for degs in deg_choices:
-            for combo in itertools.product(*(elems[d] for d in degs)):
-                val = combo[-1][1]
-                for i in range(k - 2, -1, -1):
-                    val = combo[i][1] * val
-                    if val.is_zero():
-                        break
-                if not val.is_zero():
-                    found = (tuple(c[0] for c in combo), val)
-                    break
-            if found:
-                break
-        if found is None:
-            return NilpotencyIndex(k, cap, prev[0], prev[1])
-        prev = found
-    return NilpotencyIndex(None, cap, prev[0], prev[1])
+        word = v(k)
+        for i in range(k - 1, 0, -1):
+            word = v(i) * word
+        rep = check_identity(algebra, word, max_degree=cap, pool=pool, field=field)
+        if rep.holds:
+            return NilpotencyIndex(k, cap, *witness)
+        witness = (tuple(rep.assignment.values()), rep.value)
+    return NilpotencyIndex(None, cap, *witness)
 
 
 def nilpotency_profile(ids: IdentitySet, degree: int, field=QQ,

@@ -20,7 +20,6 @@ import re
 from fractions import Fraction
 
 from .fields import QQ
-from .lincomb import LinComb
 from .magma import MagmaPoly, expand_sugar, poly_variables, x as gen_poly, v as var_poly
 from .wlc import WlcElement
 from .wn import WnElement
@@ -31,10 +30,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
 
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<atom>[xv]\d+)|(?P<int>\d+)|(?P<sym>[-+*/(),=]))"
-)
 
 _SUGAR_ARITY = {"A": 3, "C": 2, "O": 2, "T": 4}
 _SUGAR_RE = re.compile(r"\s*([ACOT])\(")
@@ -186,10 +181,6 @@ def _leaves(w):
 
 
 # -- rendering ---------------------------------------------------------
-
-
-def _coeff_str(c) -> str:
-    return "" if c == 1 else f"{c} "
 
 
 def _render_word(w) -> str:

@@ -232,13 +232,9 @@ def linearize(f: MagmaPoly) -> MagmaPoly:
 
 @dataclass
 class RelationMatrix:
-    words: list[MagmaWord]
+    ncols: int  # column i is word i of ``enumerate_words(md)``
     rows: list[tuple[tuple[int, int], ...]]  # sparse (col, int coeff), sorted
     field: object
-
-    @property
-    def ncols(self) -> int:
-        return len(self.words)
 
     @property
     def nrows(self) -> int:
@@ -259,16 +255,19 @@ def _normalized(r: dict[int, int], field) -> dict[int, int]:
     return r if inv == 1 else {col: c * inv % p for col, c in r.items()}
 
 
-def _cleared(cs: Sequence[Fraction]) -> list[int]:
-    """Rationals times the lcm of their denominators."""
+def _cleared(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals times the lcm of their denominators, and that lcm."""
     den = lcm(*(c.denominator for c in cs))
-    return [int(c * den) for c in cs]
+    return [int(c * den) for c in cs], den
 
 
-def _coefficients(lin: MagmaPoly, field, f: MagmaPoly, name: str) -> list[int]:
-    """The coefficients of ``lin``, the linearization of f, as ints: over Q
-    scaled by the lcm of their denominators (rows are content-stripped
-    anyway), over GF(p) reduced mod p."""
+def _coefficients(lin: MagmaPoly, field, f: MagmaPoly,
+                  where: str) -> tuple[list[int], int]:
+    """The coefficients of ``lin`` (f itself, or its linearization) as ints,
+    and the denominator they were cleared of: over Q scaled by the lcm of
+    their denominators, over GF(p) reduced mod p (denominator 1).  A
+    denominator that vanishes mod p raises, naming f, ``where`` it is
+    used, and p."""
     cs = [Fraction(c) for c in lin.terms.values()]
     if isinstance(field, Rationals):
         return _cleared(cs)
@@ -276,10 +275,10 @@ def _coefficients(lin: MagmaPoly, field, f: MagmaPoly, name: str) -> list[int]:
     for c in cs:
         if c.denominator % p == 0:
             from .exprs import render
-            raise ValueError(f"identity {render(f)} = 0 of {name} has the "
+            raise ValueError(f"identity {render(f)} = 0 {where} has the "
                              f"coefficient {c}, whose denominator vanishes "
                              f"mod {p}")
-    return [c.numerator * pow(c.denominator, -1, p) % p for c in cs]
+    return [c.numerator * pow(c.denominator, -1, p) % p for c in cs], 1
 
 
 def _template(w: MagmaWord, vs: tuple[int, ...]):
@@ -331,12 +330,12 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
             raise ValueError(f"{ids.name} repeats a variable {field.char} or more "
                              f"times: linearization loses information in "
                              f"characteristic {field.char}")
-    words = enumerate_words(md)
     seqs = leaf_sequences(md)
     nseq = len(seqs)
-    shape_offset = {shape: i * nseq for i, shape in enumerate(shape_preorders(n))}
+    shapes = shape_preorders(n)
+    shape_offset = {shape: i * nseq for i, shape in enumerate(shapes)}
     seq_rank = {seq: i for i, seq in enumerate(seqs)}
-    cols = list(range(len(words)))  # one int object per column, shared by rows
+    cols = list(range(len(shapes) * nseq))  # one int per column, shared by rows
     p = None if isinstance(field, Rationals) else field.p
     seen: set[tuple[tuple[int, int], ...]] = set()
     rows: list[tuple[tuple[int, int], ...]] = []
@@ -354,7 +353,7 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
         m = len(vs)
         if m > n:
             continue
-        coeffs = _coefficients(lin, field, f, ids.name)
+        coeffs, _ = _coefficients(lin, field, f, f"of {ids.name}")
         templates = [_template(w, vs) + (c,)
                      for w, c in zip(lin.terms, coeffs) if c]
         for blocks, rest in ordered_partitions(md, m):
@@ -385,7 +384,7 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
                     if norm not in seen:
                         seen.add(norm)
                         rows.append(norm)
-    return RelationMatrix(words, rows, field)
+    return RelationMatrix(len(cols), rows, field)
 
 
 # -- exact elimination ---------------------------------------------------
@@ -481,9 +480,8 @@ def quotient_basis(ids: IdentitySet, md: Mapping[int, int], field=QQ,
     """Words whose classes form a basis of the md-component: the non-pivot
     columns, which (the largest column of a row leading) are the basis picked
     greedily from the smallest word under ``word_key`` up."""
-    matrix = relation_rows(ids, md, field, cap)
-    ech = _echelon(matrix)
-    return [w for i, w in enumerate(matrix.words) if i not in ech.pivots]
+    ech = _echelon(relation_rows(ids, md, field, cap))
+    return [w for i, w in enumerate(enumerate_words(md)) if i not in ech.pivots]
 
 
 def membership(f: MagmaPoly, ids: IdentitySet, field=None,
@@ -499,10 +497,10 @@ def membership(f: MagmaPoly, ids: IdentitySet, field=None,
         raise ValueError("membership requires a multihomogeneous polynomial")
     matrix = relation_rows(ids, md, field, cap)
     ech = _echelon(matrix)
-    colindex = {w: i for i, w in enumerate(matrix.words)}
+    colindex = {w: i for i, w in enumerate(enumerate_words(md))}
     vec = {colindex[w]: c for w, c in f.terms.items()}
     if isinstance(field, Rationals):
-        vec = dict(zip(vec, _cleared(list(vec.values()))))
+        vec = dict(zip(vec, _cleared(list(vec.values()))[0]))
     return ech.contains(vec)
 
 

@@ -15,20 +15,13 @@ from .fields import GF, QQ
 from .magma import MagmaPoly, associator, tch, x
 from .multisets import md_from_list, partitions_of
 from .oracle import IdentitySet, membership, preset, quotient_dimension
-from .wlc import WlcElement, WlcMonomial, canonicalize_L
+from .wlc import WlcElement, WlcMonomial, _inversions, canonicalize_L
 from .wn import (
     ASSOC, GEN, LPROD, MIDASSOC, PAIR, RWORD, TEICH,
-    WnBasisElement, WnElement, canonicalize, wn_eval, wn_mul,
+    WnBasisElement, WnElement, _lin, canonicalize, wn_eval, wn_mul,
 )
 
 Result = tuple[str, bool, str]
-
-
-def _wn_lin(field, *pairs) -> WnElement:
-    out = WnElement.zero(field)
-    for coeff, elem in pairs:
-        out = out + WnElement.basis(elem, field).scaled(coeff)
-    return out
 
 
 # -- criterion 1: multiplication tables --------------------------------
@@ -44,47 +37,47 @@ def check_wn_table(pool: int = 5, field=QQ) -> list[Result]:
     for q, a, b, c in itertools.product(idx, repeat=4):
         # left actions of the generator q
         if wn_mul(WnBasisElement(GEN, (q,)), WnBasisElement(GEN, (a,)), field) != \
-                _wn_lin(field, (1, WnBasisElement(PAIR, (q, a)))):
+                _lin(field, (1, WnBasisElement(PAIR, (q, a)))):
             ok_left = False
         if wn_mul(WnBasisElement(GEN, (q,)), WnBasisElement(PAIR, (a, b)), field) != \
-                _wn_lin(field, (1, WnBasisElement(LPROD, (q, a, b)))):
+                _lin(field, (1, WnBasisElement(LPROD, (q, a, b)))):
             ok_left = False
         got = wn_mul(WnBasisElement(GEN, (q,)), WnBasisElement(LPROD, (a, b, c)), field)
-        if got != _wn_lin(field, (-1, canonicalize(MIDASSOC, (q, b, a, c)))):
+        if got != _lin(field, (-1, canonicalize(MIDASSOC, (q, b, a, c)))):
             ok_left = False
         t1, t2 = sorted((b, c))
         got = wn_mul(WnBasisElement(GEN, (q,)), canonicalize(ASSOC, (a, t1, t2)), field)
-        if got != _wn_lin(field, (1, canonicalize(MIDASSOC, (a, q, t1, t2)))):
+        if got != _lin(field, (1, canonicalize(MIDASSOC, (a, q, t1, t2)))):
             ok_left = False
 
         # right actions of the generator q (acting on elements over a,b,c)
         y = q
         if wn_mul(WnBasisElement(PAIR, (a, b)), WnBasisElement(GEN, (y,)), field) != \
-                _wn_lin(field,
-                        (1, canonicalize(ASSOC, (a, b, y))),
-                        (1, WnBasisElement(LPROD, (a, b, y)))):
+                _lin(field,
+                     (1, canonicalize(ASSOC, (a, b, y))),
+                     (1, WnBasisElement(LPROD, (a, b, y)))):
             ok_right = False
         got = wn_mul(WnBasisElement(LPROD, (a, b, c)), WnBasisElement(GEN, (y,)), field)
-        want = _wn_lin(field,
-                       (1, canonicalize(MIDASSOC, (a, b, c, y))),
-                       (-1, canonicalize(MIDASSOC, (a, c, b, y))),
-                       (1, canonicalize(MIDASSOC, (b, a, c, y))))
+        want = _lin(field,
+                    (1, canonicalize(MIDASSOC, (a, b, c, y))),
+                    (-1, canonicalize(MIDASSOC, (a, c, b, y))),
+                    (1, canonicalize(MIDASSOC, (b, a, c, y))))
         if got != want:
             ok_right = False
         got = wn_mul(canonicalize(ASSOC, (a, t1, t2)), WnBasisElement(GEN, (y,)), field)
-        want = _wn_lin(field,
-                       (1, canonicalize(TEICH, (a, t1, t2, y))),
-                       (1, canonicalize(MIDASSOC, (a, t1, t2, y))),
-                       (1, canonicalize(MIDASSOC, (a, t2, t1, y))))
+        want = _lin(field,
+                    (1, canonicalize(TEICH, (a, t1, t2, y))),
+                    (1, canonicalize(MIDASSOC, (a, t1, t2, y))),
+                    (1, canonicalize(MIDASSOC, (a, t2, t1, y))))
         if got != want:
             ok_right = False
         tch_elem = canonicalize(TEICH, (a, b, c, t1))
         got = wn_mul(tch_elem, WnBasisElement(GEN, (y,)), field)
-        if got != _wn_lin(field, (1, canonicalize(RWORD, tch_elem.args + (y,)))):
+        if got != _lin(field, (1, canonicalize(RWORD, tch_elem.args + (y,)))):
             ok_right = False
         rw = canonicalize(RWORD, (a, b, c, t1, t2))
         if wn_mul(rw, WnBasisElement(GEN, (y,)), field) != \
-                _wn_lin(field, (1, canonicalize(RWORD, rw.args + (y,)))):
+                _lin(field, (1, canonicalize(RWORD, rw.args + (y,)))):
             ok_right = False
 
         # annihilator and metabelian nulls
@@ -342,7 +335,7 @@ def check_classification(field=None) -> list[Result]:
 
     # alternating-orbit degree-4 form: non-nilpotent candidate
     perms4 = [p for p in itertools.permutations((1, 2, 3, 4))
-              if _parity(p) == 0]
+              if _inversions(p) % 2 == 0]
     fa4 = MagmaPoly.zero(QQ)
     for i, d in enumerate(perms4):
         term = associator(x(d[0]), x(d[1]) * x(d[2]), x(d[3])).scaled(
@@ -373,12 +366,6 @@ def check_classification(field=None) -> list[Result]:
                 and cls.bound == 5 and cls.oracle_confirmed is True,
                 f"bound={cls.bound}, oracle={cls.oracle_confirmed}"))
     return out
-
-
-def _parity(p) -> int:
-    inv = sum(1 for i in range(len(p)) for j in range(i + 1, len(p))
-              if p[i] > p[j])
-    return inv % 2
 
 
 # -- suite registry ------------------------------------------------------

@@ -94,6 +94,19 @@ def test_check_identity_counterexample(capsys):
     assert "counterexample" in out
 
 
+def test_check_identity_modular_agrees_with_rationals(capsys):
+    rs = "A(v1,v2,v3) - A(v1,v3,v2) = 0"
+    for algebra, want in (("wnov", 0), ("wlc", 1)):
+        outs = []
+        for field in ("q", "fp:1009"):
+            code, out = run(capsys, "check-identity", "--algebra", algebra,
+                            "--identity", rs, "--max-degree", "4", "--pool", "3",
+                            "--field", field)
+            assert code == want
+            outs.append(out.splitlines()[:-1])  # the value line differs by field
+        assert outs[0] == outs[1]
+
+
 def test_membership(capsys):
     code, out = run(capsys, "membership", "--identities", "wnov2",
                     "(x1*x2)*(x3*x4)")
@@ -158,4 +171,11 @@ def test_error_vanishing_denominator(capsys, tmp_path):
     p.write_text("1/3 v1*v2 + v2*v1 = 0\n")
     err = fail(capsys, "dim", "--identities", str(p), "--multidegree", "1,1",
                "--field", "fp:3")
+    assert "denominator vanishes mod 3" in err
+
+
+def test_error_check_identity_vanishing_denominator(capsys):
+    err = fail(capsys, "check-identity", "--algebra", "wlc", "--field", "fp:3",
+               "--identity", "1/3 v1*v2 + v2*v1 = 0")
+    assert err.startswith("error: identity 1/3 (v1*v2) + (v2*v1) = 0")
     assert "denominator vanishes mod 3" in err

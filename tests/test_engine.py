@@ -1,5 +1,7 @@
 """Identity checking, nilpotency indices, and classification."""
 
+import itertools
+
 import pytest
 
 from metanov import (
@@ -12,9 +14,9 @@ from metanov import (
     parse_identity,
     preset,
 )
-from metanov.engine import get_algebra
+from metanov.engine import _term_degree, basis_elements_by_degree, get_algebra
 from metanov.fields import GF, QQ
-from metanov.magma import x
+from metanov.magma import Atom, leaves, poly_variables, x
 from metanov.wn import MIDASSOC, RWORD, TEICH, WnElement, canonicalize, gen, wn_eval
 
 
@@ -44,6 +46,115 @@ def test_counterexample_reported_with_witness():
     assert not rep.holds
     assert rep.assignment is not None
     assert not rep.value.is_zero()
+
+
+def _reference_check(algebra, f, max_degree, pool, field):
+    """check_identity as a sweep of algebra elements: subterm values are
+    memoized per degree block on the ``Node`` word and the ids of the
+    elements at its variables.  Returns (verdict, assignment, value)."""
+    alg = get_algebra(algebra)
+    vs = poly_variables(f)
+    m = len(vs)
+    by_deg = basis_elements_by_degree(alg, max_degree - (m - 1), pool)
+    elems = {d: [(k, alg.element.basis(k, field)) for k in keys]
+             for d, keys in by_deg.items()}
+    support = {}
+
+    def collect(w):
+        support[w] = tuple(sorted(a.index for a in leaves(w) if a.kind == "v"))
+        if not isinstance(w, Atom):
+            collect(w.left)
+            collect(w.right)
+
+    for w in f.terms:
+        collect(w)
+    deg_choices = sorted(
+        (degs for degs in itertools.product(sorted(elems), repeat=m)
+         if sum(degs) <= max_degree and sum(1 for d in degs if d >= 2) <= 1),
+        key=lambda t: (sum(t), t),
+    )
+    for degs in deg_choices:
+        slot_deg = dict(zip(vs, degs))
+        live = [(w, c) for w, c in f.terms.items()
+                if _term_degree(w, slot_deg) is not None]
+        if not live:
+            continue
+        memo = {}
+
+        def ev(w, assignment):
+            if isinstance(w, Atom):
+                if w.kind == "v":
+                    return assignment[w.index]
+                return alg.element.basis(alg.basis({w.index: 1})[0], field)
+            key = (w, tuple(id(assignment[i]) for i in support[w]))
+            if key not in memo:
+                l = ev(w.left, assignment)
+                memo[key] = l if l.is_zero() else l * ev(w.right, assignment)
+            return memo[key]
+
+        for combo in itertools.product(*(elems[d] for d in degs)):
+            assignment = {vs[i]: combo[i][1] for i in range(m)}
+            total = alg.element.zero(field)
+            for w, c in live:
+                total = total + ev(w, assignment).scaled(c)
+            if not total.is_zero():
+                return ("counterexample",
+                        {vs[i]: combo[i][0] for i in range(m)}, total)
+    return "holds", None, None
+
+
+def _reference_nilpotency(algebra, cap, pool, field):
+    """left_nilpotency_index as a loop over left-normed products of algebra
+    elements.  Returns (index, witness factors, witness value)."""
+    alg = get_algebra(algebra)
+    by_deg = basis_elements_by_degree(alg, cap, pool)
+    elems = {d: [(k, alg.element.basis(k, field)) for k in keys]
+             for d, keys in by_deg.items()}
+    key = alg.basis({1: 1})[0]
+    prev = ((key,), alg.element.basis(key, field))
+    for k in range(2, cap + 1):
+        found = None
+        deg_choices = sorted(
+            (degs for degs in itertools.product(sorted(elems), repeat=k)
+             if sum(degs) <= cap and sum(1 for d in degs if d >= 2) <= 1),
+            key=lambda t: (sum(t), t),
+        )
+        for degs in deg_choices:
+            for combo in itertools.product(*(elems[d] for d in degs)):
+                val = combo[-1][1]
+                for i in range(k - 2, -1, -1):
+                    val = combo[i][1] * val
+                    if val.is_zero():
+                        break
+                if not val.is_zero():
+                    found = (tuple(c[0] for c in combo), val)
+                    break
+            if found:
+                break
+        if found is None:
+            return (k,) + prev
+        prev = found
+    return (None,) + prev
+
+
+def test_compiled_sweep_matches_element_reference():
+    fractional = parse_identity("1/2 (v1*v2)*v3 - 2/3 v1*(v2*v3) + 5/7 (v2*v1)*v3 = 0")
+    cases = [("wnov", preset(name).identities[0]) for name in ("rs", "wn", "met")]
+    cases += [("wlc", preset(name).identities[0]) for name in ("wn", "met", "lc", "rs")]
+    cases += [("wnov", fractional), ("wlc", fractional)]
+    verdicts = set()
+    for field in (QQ, GF(1009)):
+        for alg, f in cases:
+            rep = check_identity(alg, f, max_degree=5, pool=3, field=field)
+            want = _reference_check(alg, f, 5, 3, field)
+            assert (rep.verdict, rep.assignment, rep.value) == want, (alg, f, field)
+            verdicts.add(rep.verdict)
+    assert verdicts == {"holds", "counterexample"}
+    for alg in ("wnov", "wlc"):
+        for cap in (4, 5, 6):
+            res = left_nilpotency_index(alg, cap=cap, pool=3)
+            want = _reference_nilpotency(alg, cap, 3, QQ)
+            assert (res.index, res.witness_factors, res.witness_value) == want
 
 
 def test_left_nilpotency_wnov_is_five():

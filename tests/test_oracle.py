@@ -110,7 +110,8 @@ def test_quotient_basis_spans():
         assert len(basis) == dim == quotient_dimension(ids, md)
         assert all(multidegree(w) == md for w in basis)
         matrix = relation_rows(ids, md)
-        pivot_words = {matrix.words[col] for col in _echelon(matrix).pivots}
+        words = enumerate_words(md)
+        pivot_words = {words[col] for col in _echelon(matrix).pivots}
         assert not pivot_words & set(basis)
         # independent modulo the T-ideal, not just a spanning set
         combo = MagmaPoly({w: i + 1 for i, w in enumerate(basis)})
@@ -286,7 +287,7 @@ def test_relation_rows_match_word_tree_reference():
         for field in fields:
             matrix = relation_rows(ids, md, field)
             words, rows = _reference_rows(ids, md, field)
-            assert matrix.words == words
+            assert matrix.ncols == len(words)
             assert matrix.rows == rows, (ids.name, md, field)
 
 
