@@ -7,15 +7,15 @@ expressions, reduces them in both algebras, and shows how the same word
 collapses differently depending on the identity set.
 """
 
-from metanov import parse_expr, render, wlc_eval, wn_eval
+from metanov import WlcElement, WnElement, evaluate, parse_expr, render
 from metanov.fields import GF
 
 
 def show(expr: str) -> None:
     f = parse_expr(expr)
     print(f"  input : {expr}")
-    print(f"  wlc   : {render(wlc_eval(f))}")
-    print(f"  wnov  : {render(wn_eval(f))}")
+    print(f"  wlc   : {render(evaluate(f, WlcElement))}")
+    print(f"  wnov  : {render(evaluate(f, WnElement))}")
     print()
 
 
@@ -35,7 +35,7 @@ print("six-word magma polynomial, yet with right symmetry it evaluates to")
 print("a single basis element:\n")
 f = parse_expr("T(x1,x2,x3,x4)")
 print(f"  raw expansion : {render(f)}")
-print(f"  wnov          : {render(wn_eval(f))}\n")
+print(f"  wnov          : {render(evaluate(f, WnElement))}\n")
 
 print("Identities vanish identically.  Metabelianity kills any product of")
 print("two degree->=2 factors in both algebras:\n")
@@ -44,4 +44,4 @@ show("(x1*x2)*(x3*x4)")
 print("Coefficients live in an exact field: Q by default, or any odd")
 print("prime field.\n")
 f = parse_expr("x1*(x2*(x3*x4))", GF(7))
-print(f"  over GF(7): {render(wn_eval(f))}")
+print(f"  over GF(7): {render(evaluate(f, WnElement))}")

@@ -13,12 +13,10 @@ from metanov import (
     preset,
     quotient_basis,
     quotient_dimension,
-    render,
     wlc_basis,
     wn_basis,
 )
 from metanov.fields import GF, QQ
-from metanov.magma import MagmaPoly
 
 print("Multilinear dimensions, identity set {right symmetry, weak Novikov,")
 print("metabelian} ('wnov2') vs {weak Novikov, metabelian} ('wlc2'):\n")
@@ -36,7 +34,7 @@ print("shadow of left nilpotency: only R-words survive at high degree.\n")
 md = {1: 1, 2: 1, 3: 1}
 print(f"Representative words spanning the (1,1,1) component of wnov2:")
 for w in quotient_basis(preset("wnov2"), md):
-    print(f"  {render(MagmaPoly.word(w))}")
+    print(f"  {w!r}")
 
 print("\nPresets compose with '+', and extra identities shrink components:")
 for name in ("wlc2", "wlc2+flex", "wlc2+lie-nilp:2"):

@@ -15,6 +15,7 @@ from .magma import (
     circle,
     commutator,
     enumerate_words,
+    evaluate,
     expand_sugar,
     multidegree,
     substitute,
@@ -23,14 +24,13 @@ from .magma import (
     x,
 )
 from .multisets import md_from_list
-from .wlc import WlcElement, WlcMonomial, canonicalize_L, wlc_basis, wlc_eval, wlc_mul
+from .wlc import WlcElement, WlcMonomial, canonicalize_L, wlc_basis, wlc_mul
 from .wn import (
     WnBasisElement,
     WnElement,
     canonicalize as wn_canonicalize,
     is_annihilator,
     wn_basis,
-    wn_eval,
     wn_mul,
 )
 from .oracle import (
@@ -60,11 +60,11 @@ __all__ = [
     "GF", "QQ", "parse_field",
     "Atom", "Node", "MagmaPoly",
     "associator", "commutator", "circle", "tch", "expand_sugar",
-    "enumerate_words", "multidegree", "substitute", "x", "v",
+    "enumerate_words", "evaluate", "multidegree", "substitute", "x", "v",
     "md_from_list",
-    "WlcMonomial", "WlcElement", "canonicalize_L", "wlc_mul", "wlc_eval", "wlc_basis",
-    "WnBasisElement", "WnElement", "wn_canonicalize", "wn_mul", "wn_eval",
-    "wn_basis", "is_annihilator",
+    "WlcMonomial", "WlcElement", "canonicalize_L", "wlc_mul", "wlc_basis",
+    "WnBasisElement", "WnElement", "wn_canonicalize", "wn_mul", "wn_basis",
+    "is_annihilator",
     "IdentitySet", "RelationMatrix", "preset", "load_identity_file",
     "relation_rows", "quotient_dimension", "quotient_basis", "membership",
     "dimension_cross_check",

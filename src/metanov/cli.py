@@ -7,15 +7,14 @@ import json
 import os
 import sys
 
-from .engine import check_identity, classify_multilinear
+from .engine import check_identity, classify_multilinear, get_algebra
 from .exprs import parse_expr, parse_identity, render
-from .fields import QQ, parse_field
+from .fields import parse_field
+from .magma import evaluate
 from .multisets import md_from_list
 from .oracle import load_identity_file, membership, preset, quotient_basis, \
     quotient_dimension
 from .verify import SUITES, run_suites
-from .wlc import wlc_eval
-from .wn import wn_eval
 
 
 def _identity_set(spec: str):
@@ -34,7 +33,7 @@ def _parse_md(text: str) -> dict[int, int]:
 def _cmd_normalize(args) -> int:
     field = parse_field(args.field)
     poly = parse_expr(args.expr, field)
-    e = wlc_eval(poly) if args.algebra == "wlc" else wn_eval(poly)
+    e = evaluate(poly, get_algebra(args.algebra).element)
     if args.json:
         payload = {
             "algebra": args.algebra,
@@ -62,9 +61,8 @@ def _cmd_basis(args) -> int:
     field = parse_field(args.field)
     ids = _identity_set(args.identities)
     md = _parse_md(args.multidegree)
-    from .magma import MagmaPoly
     for w in quotient_basis(ids, md, field, cap=args.cap):
-        print(render(MagmaPoly.word(w, field)))
+        print(repr(w))
     return 0
 
 

@@ -11,12 +11,14 @@ tuple of ints and no ``Node`` is hashed in the sweep.  Values are
 ``{element id: int}`` dicts: both tables have integer structure
 constants, so the sweep is exact over Z, with the identity's
 coefficients cleared of denominators over Q and reduced mod p over
-GF(p).  Products of two basis elements are cached for one call.
+GF(p).  Products of two basis elements come from the element type's
+basis product over Q and are cached for one call.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -27,14 +29,14 @@ from .fields import GF, QQ, Rationals
 from .magma import (
     Atom,
     MagmaPoly,
+    evaluate,
     is_multilinear,
     leaves,
     multidegree,
     poly_variables,
-    replace_leaves,
     v,
 )
-from .multisets import md_total, partitions_of
+from .multisets import md_total
 from .oracle import (
     DEFAULT_DEGREE_CAP,
     IdentitySet,
@@ -47,18 +49,13 @@ from .oracle import (
 @dataclass(frozen=True)
 class TableAlgebra:
     name: str
-    element: type  # the LinComb subclass of the algebra's elements
+    element: type  # its LinComb subclass: key order, gen and basis product
     basis: object  # multidegree -> sorted basis keys
-    mul: object  # product of two basis keys over Q
 
 
-# The products go through the module attribute at call time, so a
-# rebinding of ``wn.wn_mul``/``wlc.wlc_mul`` (as a tracer does) is seen.
 _ALGEBRAS = {
-    "wlc": TableAlgebra("wlc", wlc.WlcElement, wlc.wlc_basis,
-                        lambda a, b: wlc.wlc_mul(a, b, QQ)),
-    "wnov": TableAlgebra("wnov", wn.WnElement, wn.wn_basis,
-                         lambda a, b: wn.wn_mul(a, b, QQ)),
+    "wlc": TableAlgebra("wlc", wlc.WlcElement, wlc.wlc_basis),
+    "wnov": TableAlgebra("wnov", wn.WnElement, wn.wn_basis),
 }
 
 
@@ -68,30 +65,13 @@ def get_algebra(name: str) -> TableAlgebra:
     return _ALGEBRAS[name]
 
 
-def _multidegrees(pool: int, total: int):
-    """All multidegrees on generators x1..x<pool> of the given total degree."""
-    def rec(k: int, left: int):
-        if k == pool:
-            yield {pool: left} if left else {}
-            return
-        for m in range(left, -1, -1):
-            for rest in rec(k + 1, left - m):
-                yield {k: m, **rest} if m else rest
-    for md in rec(1, total):
-        if md_total(md) == total:
-            yield md
-
-
 def basis_elements_by_degree(alg: TableAlgebra, max_degree: int,
                              pool: int) -> dict[int, list]:
     """Basis keys of each degree <= max_degree with indices from x1..x<pool>."""
-    out: dict[int, list] = {}
-    for d in range(1, max_degree + 1):
-        keys = []
-        for md in _multidegrees(pool, d):
-            keys.extend(alg.basis(md))
-        out[d] = keys
-    return out
+    gens = range(1, pool + 1)
+    return {d: [k for letters in itertools.combinations_with_replacement(gens, d)
+                for k in alg.basis(Counter(letters))]
+            for d in range(1, max_degree + 1)}
 
 
 @dataclass
@@ -141,7 +121,8 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
     proper subword is memoized on (subword id, ids of the elements at its
     variable slots); see the module docstring for the compiled form.  Over
     GF(p), a coefficient whose denominator vanishes mod p raises
-    ``ValueError``.
+    ``ValueError``, and so does a sweep with no assignment in it
+    (``pool < 1``, or ``max_degree`` below the number of variables).
     """
     if not is_multilinear(f):
         raise ValueError("check_identity requires a multilinear identity")
@@ -150,6 +131,11 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
     p = None if isinstance(field, Rationals) else field.p
     vs = poly_variables(f)
     m = len(vs)
+    if pool < 1:
+        raise ValueError(f"pool {pool} leaves no generator to substitute")
+    if max_degree < m:
+        raise ValueError(f"max_degree {max_degree} is below the identity's "
+                         f"{m} variables: there is no assignment to check")
     slot = {var: i for i, var in enumerate(vs)}
     domain = (f"basis elements over x1..x{pool}, result degree <= {max_degree}")
     by_deg = basis_elements_by_degree(alg, max_degree - (m - 1), pool)
@@ -174,8 +160,8 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
                 prod = cache.get((a, b))
                 if prod is None:
                     prod = cache[a, b] = tuple(
-                        (intern(k), _integral(c))
-                        for k, c in alg.mul(keys[a], keys[b]).terms.items())
+                        (intern(k), _integral(c)) for k, c in
+                        alg.element._basis_product(keys[a], keys[b], QQ).items())
                 for k, c in prod:
                     out[k] = out.get(k, 0) + ca * cb * c
         return {k: c for k, c in out.items() if c} if 0 in out.values() else out
@@ -283,23 +269,21 @@ def left_nilpotency_index(algebra: str, cap: int = 6, pool: int = 5,
 
 def nilpotency_profile(ids: IdentitySet, degree: int, field=QQ,
                        cap: int = DEFAULT_DEGREE_CAP) -> bool:
-    """True iff every multidegree component of the given total degree is zero."""
+    """True iff every multidegree component of the given total degree is zero.
+
+    Only the multilinear component is computed: every word of degree n is
+    the image of a multilinear one under a substitution x_i -> x_j, and a
+    T-ideal is closed under substitution, in every characteristic.
+    """
     if degree > cap:
         raise ValueError(f"degree {degree} exceeds cap {cap}")
-    for part in partitions_of(degree):
-        md = {i + 1: p for i, p in enumerate(part)}
-        if quotient_dimension(ids, md, field, cap) != 0:
-            return False
-    return True
+    md = {i: 1 for i in range(1, degree + 1)}
+    return quotient_dimension(ids, md, field, cap) == 0
 
 
 def gens_to_vars(f: MagmaPoly) -> MagmaPoly:
     """Relabel generators x_i as formal variables v_i (identity polynomial)."""
-    out = MagmaPoly.zero(f.field)
-    for w, c in f.terms.items():
-        mapping = {a: Atom("v", a.index) for a in leaves(w) if a.kind == "x"}
-        out = out + MagmaPoly.word(replace_leaves(w, mapping), f.field).scaled(c)
-    return out
+    return evaluate(f, MagmaPoly, lambda a: v(a.index, f.field))
 
 
 @dataclass
@@ -331,7 +315,7 @@ def classify_multilinear(f: MagmaPoly, oracle_verify: bool = False,
     n = md_total(md)
     if n < 2:
         raise ValueError("degree must be at least 2")
-    nf = wn.wn_eval(f)
+    nf = evaluate(f, wn.WnElement)
     if nf.is_zero():
         raise ValueError(
             "identity already holds in the variety; it defines no proper subvariety"
@@ -367,14 +351,8 @@ def operator_word_apply(e, ops: Sequence[tuple[str, int]], field=None):
     expand to R-L and R+L before application.
     """
     field = field if field is not None else e.field
-    if isinstance(e, wlc.WlcElement):
-        make_gen = wlc.gen
-    elif isinstance(e, wn.WnElement):
-        make_gen = wn.gen
-    else:
-        raise TypeError(f"unsupported element type {type(e).__name__}")
     for op, g in ops:
-        xg = make_gen(g, field)
+        xg = type(e).gen(g, field)
         if op == "L":
             e = xg * e
         elif op == "R":

@@ -20,9 +20,8 @@ import re
 from fractions import Fraction
 
 from .fields import QQ
-from .magma import MagmaPoly, expand_sugar, poly_variables, x as gen_poly, v as var_poly
-from .wlc import WlcElement
-from .wn import WnElement
+from .lincomb import LinComb
+from .magma import MagmaPoly, expand_sugar, leaves, x as gen_poly, v as var_poly
 
 
 class ParseError(ValueError):
@@ -167,7 +166,7 @@ def parse_identity(text: str, field=QQ) -> MagmaPoly:
             raise ParseError("identities must have the form '<expr> = 0'",
                              text.index("=") + 1)
     f = parse_expr(body, field)
-    has_gen = any(a.kind == "x" for w in f.terms for a in _leaves(w))
+    has_gen = any(a.kind == "x" for w in f.terms for a in leaves(w))
     if has_gen:
         raise ParseError(
             "identities must be written over formal variables v1, v2, ...", 0
@@ -175,43 +174,23 @@ def parse_identity(text: str, field=QQ) -> MagmaPoly:
     return f
 
 
-def _leaves(w):
-    from .magma import leaves
-    return leaves(w)
-
-
 # -- rendering ---------------------------------------------------------
 
 
-def _render_word(w) -> str:
-    from .magma import Atom
-    if isinstance(w, Atom):
-        return f"{w.kind}{w.index}"
-    return f"({_render_word(w.left)}*{_render_word(w.right)})"
-
-
-def _render_terms(pairs, field) -> str:
-    if not pairs:
+def render(e: LinComb) -> str:
+    """Deterministic text rendering of a polynomial or normal-form element."""
+    if not isinstance(e, LinComb):
+        raise TypeError(f"cannot render {type(e).__name__}")
+    if not e.terms:
         return "0"
     chunks = []
-    for i, (body, c) in enumerate(pairs):
-        neg = field.char == 0 and c < 0
+    for i, (k, c) in enumerate(e.sorted_terms()):
+        neg = e.field.char == 0 and c < 0
         mag = -c if neg else c
         coeff = "" if mag == 1 else f"{mag} "
         if i == 0:
             prefix = ("-1 " if mag == 1 else f"-{coeff}") if neg else coeff
         else:
             prefix = (" - " if neg else " + ") + coeff
-        chunks.append(prefix + body)
+        chunks.append(prefix + repr(k))
     return "".join(chunks)
-
-
-def render(e) -> str:
-    """Deterministic text rendering of a polynomial or normal-form element."""
-    if isinstance(e, MagmaPoly):
-        pairs = [(_render_word(w), c) for w, c in e.sorted_terms()]
-        return _render_terms(pairs, e.field)
-    if isinstance(e, (WlcElement, WnElement)):
-        pairs = [(repr(k), c) for k, c in e.sorted_terms()]
-        return _render_terms(pairs, e.field)
-    raise TypeError(f"cannot render {type(e).__name__}")

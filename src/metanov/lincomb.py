@@ -1,4 +1,9 @@
-"""Shared machinery: finite linear combinations of canonical basis keys."""
+"""The one linear-combination type: finite maps basis key -> nonzero scalar.
+
+Magma polynomials and the normal-form elements of both table algebras are
+``LinComb`` subclasses.  A subclass gives only its key order and its basis
+product; the linear structure and the bilinear product live here.
+"""
 
 from __future__ import annotations
 
@@ -7,18 +12,31 @@ from typing import Mapping
 from .fields import QQ
 
 
+def add_scaled(out: dict, terms: Mapping, c, field) -> None:
+    """out += c * terms in place, for a nonzero scalar c.
+
+    A key whose sum is zero is dropped, and comes back at the end of the
+    insertion order if a later term hits it.
+    """
+    zero = field.zero
+    for k, x in terms.items():
+        s = field.add(out.get(k, zero), field.mul(x, c))
+        if s == zero:
+            out.pop(k, None)
+        else:
+            out[k] = s
+
+
 class LinComb:
     """Finite map key -> nonzero scalar over an exact field.
 
-    Subclasses set ``_key_order`` (callable: key -> sort key) and are used
-    for normal-form elements of the table algebras.
+    Immutable by convention: no method mutates ``self``; zero coefficients
+    are never stored.  Subclasses give ``_key_order`` (key -> sort key) and
+    ``_basis_product`` ((key, key, field) -> map key -> scalar), which
+    ``*`` extends bilinearly.
     """
 
     __slots__ = ("field", "terms")
-
-    @staticmethod
-    def _key_order(key):
-        return key
 
     def __init__(self, terms: Mapping | None = None, field=QQ):
         self.field = field
@@ -37,6 +55,13 @@ class LinComb:
     @classmethod
     def basis(cls, key, field=QQ):
         return cls({key: field.one}, field)
+
+    @classmethod
+    def _of(cls, terms: dict, field):
+        """The element with these terms, already nonzero and in ``field``."""
+        res = cls.zero(field)
+        res.terms = terms
+        return res
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -63,23 +88,13 @@ class LinComb:
 
     def __add__(self, other):
         self._check(other)
-        f = self.field
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = f.add(out.get(k, f.zero), c)
-            if s == f.zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
-        res = type(self).zero(f)
-        res.terms = out
-        return res
+        add_scaled(out, other.terms, self.field.one, self.field)
+        return self._of(out, self.field)
 
     def __neg__(self):
         f = self.field
-        res = type(self).zero(f)
-        res.terms = {k: f.neg(c) for k, c in self.terms.items()}
-        return res
+        return self._of({k: f.neg(c) for k, c in self.terms.items()}, f)
 
     def __sub__(self, other):
         return self + (-other)
@@ -89,9 +104,18 @@ class LinComb:
         c = f.coerce(c)
         if c == f.zero:
             return type(self).zero(f)
-        res = type(self).zero(f)
-        res.terms = {k: f.mul(cv, c) for k, cv in self.terms.items()}
-        return res
+        return self._of({k: f.mul(cv, c) for k, cv in self.terms.items()}, f)
 
     def __rmul__(self, c):
         return self.scaled(c)
+
+    def __mul__(self, other):
+        """Bilinear extension of the basis product."""
+        self._check(other)
+        f = self.field
+        product = type(self)._basis_product
+        out: dict = {}
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                add_scaled(out, product(a, b, f), f.mul(ca, cb), f)
+        return self._of(out, f)

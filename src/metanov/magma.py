@@ -4,6 +4,11 @@ exact-coefficient linear combinations.
 Leaves are either generators ``x<k>`` or formal identity variables ``v<k>``;
 the two index spaces are disjoint, so substitution never captures.
 
+``MagmaPoly`` is the ``LinComb`` of words, multiplied by tree join.
+``evaluate`` is the one bottom-up walk from words to values:
+substitution, relabeling and the normal forms of magma polynomials in
+the table algebras are calls to it.
+
 This module owns the word order (``word_key``).  Within one multidegree
 it is the product of two sorted factors, ``shape_preorders`` and
 ``leaf_sequences``, which the oracle uses to index words without
@@ -17,7 +22,8 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from .fields import QQ
-from .multisets import distinct_permutations
+from .lincomb import LinComb, add_scaled
+from .multisets import distinct_permutations, md_letters
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,123 +94,23 @@ def multidegree(w: MagmaWord) -> dict[int, int]:
     return md
 
 
-class MagmaPoly:
-    """Finite map MagmaWord -> scalar over an exact field.
+class MagmaPoly(LinComb):
+    """Linear combination of words, in ``word_key`` order; the product of
+    two words is their tree join."""
 
-    Immutable by convention: no method mutates ``self``; zero coefficients
-    are never stored.
-    """
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, terms: Mapping[MagmaWord, object] | None = None, field=QQ):
-        self.field = field
-        clean: dict[MagmaWord, object] = {}
-        if terms:
-            for w, c in terms.items():
-                c = field.coerce(c)
-                if c != field.zero:
-                    clean[w] = c
-        self.terms = clean
-
-    # -- constructors ------------------------------------------------
+    _key_order = staticmethod(word_key)
 
     @staticmethod
-    def zero(field=QQ) -> "MagmaPoly":
-        return MagmaPoly({}, field)
-
-    @staticmethod
-    def word(w: MagmaWord, field=QQ) -> "MagmaPoly":
-        return MagmaPoly({w: field.one}, field)
-
-    # -- basic queries -----------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: word_key(t[0]))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MagmaPoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "MagmaPoly(0)"
-        body = " + ".join(f"{c}*{w!r}" for w, c in self.sorted_terms())
-        return f"MagmaPoly({body})"
-
-    # -- linear structure --------------------------------------------
-
-    def _check(self, other: "MagmaPoly"):
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-
-    def __add__(self, other: "MagmaPoly") -> "MagmaPoly":
-        self._check(other)
-        f = self.field
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = f.add(out.get(w, f.zero), c)
-            if s == f.zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        res = MagmaPoly.zero(f)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "MagmaPoly":
-        f = self.field
-        res = MagmaPoly.zero(f)
-        res.terms = {w: f.neg(c) for w, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "MagmaPoly") -> "MagmaPoly":
-        return self + (-other)
-
-    def scaled(self, c) -> "MagmaPoly":
-        f = self.field
-        c = f.coerce(c)
-        if c == f.zero:
-            return MagmaPoly.zero(f)
-        res = MagmaPoly.zero(f)
-        res.terms = {w: f.mul(cv, c) for w, cv in self.terms.items()}
-        return res
-
-    def __rmul__(self, c) -> "MagmaPoly":
-        return self.scaled(c)
-
-    # -- multiplication ----------------------------------------------
-
-    def __mul__(self, other: "MagmaPoly") -> "MagmaPoly":
-        """Bilinear extension of the tree-join product of words."""
-        self._check(other)
-        f = self.field
-        out: dict[MagmaWord, object] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = Node(w1, w2)
-                s = f.add(out.get(w, f.zero), f.mul(c1, c2))
-                if s == f.zero:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        res = MagmaPoly.zero(f)
-        res.terms = out
-        return res
+    def _basis_product(a: MagmaWord, b: MagmaWord, field) -> dict:
+        return {Node(a, b): field.one}
 
 
 def x(i: int, field=QQ) -> MagmaPoly:
-    return MagmaPoly.word(Atom("x", i), field)
+    return MagmaPoly.basis(Atom("x", i), field)
 
 
 def v(i: int, field=QQ) -> MagmaPoly:
-    return MagmaPoly.word(Atom("v", i), field)
+    return MagmaPoly.basis(Atom("v", i), field)
 
 
 # -- derived operations ("sugar") ------------------------------------
@@ -253,7 +159,35 @@ def expand_sugar(name: str, args: list[MagmaPoly]) -> MagmaPoly:
     return fn(*args)
 
 
-# -- substitution ----------------------------------------------------
+# -- evaluation ------------------------------------------------------
+
+
+def evaluate(f: MagmaPoly, element: type[LinComb], leaf=None) -> LinComb:
+    """The linear extension of a bottom-up evaluation of f's words.
+
+    A leaf ``a`` takes the value ``leaf(a)``, an ``element``; a product
+    word takes the product of its factors' values, and its right factor is
+    not evaluated when the left one is zero.  Without ``leaf``, a generator
+    x_i takes ``element.gen(i)`` and a formal variable is refused: this is
+    the normal form of f in the table algebra of ``element``.
+    """
+    field = f.field
+    if leaf is None:
+        def leaf(a: Atom):
+            if a.kind != "x":
+                raise ValueError(f"cannot evaluate formal variable {a!r}")
+            return element.gen(a.index, field)
+
+    def value(w: MagmaWord):
+        if isinstance(w, Atom):
+            return leaf(w)
+        l = value(w.left)
+        return l if l.is_zero() else l * value(w.right)
+
+    out: dict = {}
+    for w, c in f.terms.items():
+        add_scaled(out, value(w).terms, c, field)
+    return element._of(out, field)
 
 
 def replace_leaves(w: MagmaWord, mapping: Mapping[Atom, MagmaWord]) -> MagmaWord:
@@ -269,23 +203,19 @@ def substitute(f: MagmaPoly, assignment: Mapping[int, MagmaPoly]) -> MagmaPoly:
     Every ``v<k>`` occurring in f must be assigned; generators pass through.
     """
     field = f.field
+    missing = set(poly_variables(f)) - set(assignment)
+    if missing:
+        raise ValueError(f"unassigned variable v{min(missing)}")
 
-    def eval_word(w: MagmaWord) -> MagmaPoly:
-        if isinstance(w, Atom):
-            if w.kind == "v":
-                if w.index not in assignment:
-                    raise ValueError(f"unassigned variable v{w.index}")
-                g = assignment[w.index]
-                if g.field != field:
-                    raise ValueError("field mismatch in substitution")
-                return g
-            return MagmaPoly.word(w, field)
-        return eval_word(w.left) * eval_word(w.right)
+    def leaf(a: Atom) -> MagmaPoly:
+        if a.kind == "x":
+            return MagmaPoly.basis(a, field)
+        g = assignment[a.index]
+        if g.field != field:
+            raise ValueError("field mismatch in substitution")
+        return g
 
-    out = MagmaPoly.zero(field)
-    for w, c in f.terms.items():
-        out = out + eval_word(w).scaled(c)
-    return out
+    return evaluate(f, MagmaPoly, leaf)
 
 
 def poly_variables(f: MagmaPoly) -> tuple[int, ...]:
@@ -332,11 +262,9 @@ def shape_preorders(n: int) -> tuple[tuple[int, ...], ...]:
 
 def leaf_sequences(md: Mapping[int, int]) -> list[tuple[int, ...]]:
     """All distinct sequences of generator indices with multidegree md, sorted."""
-    letters: list[int] = []
-    for g in sorted(md):
-        if md[g] < 1:
-            raise ValueError("multiplicities must be >= 1")
-        letters.extend([g] * md[g])
+    if any(m < 1 for m in md.values()):
+        raise ValueError("multiplicities must be >= 1")
+    letters = md_letters(md)
     if not letters:
         raise ValueError("total degree must be >= 1")
     return list(distinct_permutations(letters))

@@ -15,6 +15,11 @@ def md_total(md: Mapping[int, int]) -> int:
     return sum(md.values())
 
 
+def md_letters(md: Mapping[int, int]) -> list[int]:
+    """The sorted letters of a multidegree: each generator g, md[g] times."""
+    return [g for g in sorted(md) for _ in range(md[g])]
+
+
 def md_sub(md: Mapping[int, int], part: Mapping[int, int]) -> dict[int, int]:
     out = {}
     for g, m in md.items():

@@ -36,7 +36,6 @@ from .magma import (
     leaves,
     multidegree,
     poly_variables,
-    replace_leaves,
     shape_preorder,
     shape_preorders,
     substitute,
@@ -194,37 +193,17 @@ def linearize(f: MagmaPoly) -> MagmaPoly:
     unchanged; ``relation_rows`` refuses smaller p.
     """
     vmd = _var_multidegree(f)
-    if all(m == 1 for m in vmd.values()):
-        ren = {k: i + 1 for i, k in enumerate(sorted(vmd))}
-        out = MagmaPoly.zero(f.field)
-        for w, c in f.terms.items():
-            mapping = {Atom("v", k): Atom("v", r) for k, r in ren.items()}
-            out = out + MagmaPoly.word(replace_leaves(w, mapping), f.field).scaled(c)
-        return out
-    fresh: dict[int, list[int]] = {}
-    nxt = 1
+    assignment, nxt = {}, 1
     for k in sorted(vmd):
-        fresh[k] = list(range(nxt, nxt + vmd[k]))
+        assignment[k] = MagmaPoly({Atom("v", i): 1 for i in range(nxt, nxt + vmd[k])},
+                                  f.field)
         nxt += vmd[k]
-    assignment = {}
-    for k, idxs in fresh.items():
-        s = v(idxs[0], f.field)
-        for i in idxs[1:]:
-            s = s + v(i, f.field)
-        assignment[k] = s
-    expanded = substitute(f, assignment)
-    allvars = tuple(range(1, nxt))
-    out = MagmaPoly.zero(f.field)
-    for w, c in expanded.terms.items():
-        seen: dict[int, int] = {}
-        for a in leaves(w):
-            if a.kind == "v":
-                seen[a.index] = seen.get(a.index, 0) + 1
-        if tuple(sorted(seen)) == allvars and all(m == 1 for m in seen.values()):
-            out = out + MagmaPoly({w: c}, f.field)
-    if out.is_zero():
+    allvars = list(range(1, nxt))
+    out = {w: c for w, c in substitute(f, assignment).terms.items()
+           if sorted(a.index for a in leaves(w) if a.kind == "v") == allvars}
+    if not out:
         raise ValueError("identity linearizes to zero")
-    return out
+    return MagmaPoly._of(out, f.field)
 
 
 # -- relation matrix ---------------------------------------------------

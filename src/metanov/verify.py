@@ -12,13 +12,13 @@ from fractions import Fraction
 
 from . import engine, wlc, wn
 from .fields import GF, QQ
-from .magma import MagmaPoly, associator, tch, x
-from .multisets import md_from_list, partitions_of
-from .oracle import IdentitySet, membership, preset, quotient_dimension
+from .magma import MagmaPoly, associator, evaluate, tch, x
+from .multisets import partitions_of
+from .oracle import membership, preset, quotient_dimension
 from .wlc import WlcElement, WlcMonomial, _inversions, canonicalize_L
 from .wn import (
     ASSOC, GEN, LPROD, MIDASSOC, PAIR, RWORD, TEICH,
-    WnBasisElement, WnElement, _lin, canonicalize, wn_eval, wn_mul,
+    WnBasisElement, WnElement, _lin, canonicalize, wn_mul,
 )
 
 Result = tuple[str, bool, str]
@@ -156,7 +156,7 @@ def check_tch_coherence(pool: int = 4, field=QQ) -> list[Result]:
     ok = True
     detail = ""
     for a, b, c, d in itertools.product(range(1, pool + 1), repeat=4):
-        got = wn_eval(tch(x(a, field), x(b, field), x(c, field), x(d, field)))
+        got = evaluate(tch(x(a, field), x(b, field), x(c, field), x(d, field)), WnElement)
         want = WnElement.basis(canonicalize(TEICH, (a, b, c, d)), field)
         if got != want:
             ok = False
@@ -177,7 +177,7 @@ def check_operator_patterns(pool: int = 5, field=QQ) -> list[Result]:
     gens = range(1, pool + 1)
     pairs = [WnElement.basis(WnBasisElement(PAIR, (a, b)), field)
              for a in gens for b in gens]
-    gen_elems = {g: wn.gen(g, field) for g in gens}
+    gen_elems = {g: WnElement.gen(g, field) for g in gens}
 
     def vanishes(e, pattern, k=0) -> bool:
         """True iff every completion of the operator pattern kills e."""
@@ -269,16 +269,13 @@ def check_dimensions(max_total: int = 5, heavy_field=None) -> list[Result]:
 def check_left_nilpotency(field=QQ) -> list[Result]:
     out: list[Result] = []
     res = engine.left_nilpotency_index("wnov", cap=6, field=field)
-    witness_ok = False
-    if res.index == 5:
-        w = wn_eval(x(1) * (x(2) * (x(3) * x(4))))
-        witness_ok = w == WnElement.basis(
-            canonicalize(MIDASSOC, (1, 3, 2, 4)), QQ).scaled(-1)
+    deg4 = x(1) * (x(2) * (x(3) * x(4)))
+    w = evaluate(deg4, WnElement)
+    witness_ok = w == WnElement.basis(
+        canonicalize(MIDASSOC, (1, 3, 2, 4)), QQ).scaled(-1)
     out.append(("left nilpotency index of the right-symmetric algebra is 5",
                 res.index == 5 and witness_ok,
-                f"index={res}, witness x1(x2(x3x4)) = "
-                f"{wn_eval(x(1) * (x(2) * (x(3) * x(4))))!r}"))
-    deg4 = x(1) * (x(2) * (x(3) * x(4)))
+                f"index={res}, witness x1(x2(x3x4)) = {w!r}"))
     deg5 = x(1) * (x(2) * (x(3) * (x(4) * x(5))))
     for ids_name in ("nov2", "wnov2"):
         ids = preset(ids_name)
@@ -324,7 +321,7 @@ def check_classification(field=None) -> list[Result]:
     # Sample degree-5 identity: substituting a squared element for the lead
     # variable must leave a bare R-word, forcing nilpotency of index <= 6.
     sub = (((((x(6) * x(7)) * x(2)) * x(3)) * x(4)) * x(5))
-    val = wn_eval(sub)
+    val = evaluate(sub, WnElement)
     rw_ok = val == WnElement.basis(canonicalize(RWORD, (6, 7, 2, 3, 4, 5)), QQ)
     out.append(("degree-5 identity gets nilpotency bound 6, witnessed by the "
                 "squared-element substitution and oracle-confirmed",

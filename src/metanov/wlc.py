@@ -4,6 +4,10 @@ identity only (no right symmetry imposed).
 Basis monomials have the shape ``x_i L_{j1}..L_{jn} R_{k1}..R_{kt}``; for
 n >= 4 the L-indices are only defined up to even permutations, so one
 canonical representative per alternating-group orbit is stored.
+
+``WlcElement`` is the ``LinComb`` of these monomials; its product is
+``wlc_mul`` extended bilinearly, and the normal form of a magma
+polynomial p is ``magma.evaluate(p, WlcElement)``.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ from typing import Iterable, Mapping
 
 from .fields import QQ
 from .lincomb import LinComb
-from .magma import Atom, MagmaPoly, Node
-from .multisets import distinct_permutations, md_sub, md_total, sub_multisets
+from .multisets import distinct_permutations, md_letters, md_sub, md_total, sub_multisets
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,20 +85,14 @@ class WlcElement(LinComb):
     def _key_order(m: WlcMonomial):
         return (m.degree, m.base, m.lpart, m.rpart)
 
-    def __mul__(self, other: "WlcElement") -> "WlcElement":
-        self._check(other)
-        f = self.field
-        out = WlcElement.zero(f)
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                prod = wlc_mul(a, b, f)
-                if not prod.is_zero():
-                    out = out + prod.scaled(f.mul(ca, cb))
-        return out
+    @staticmethod
+    def _basis_product(a: WlcMonomial, b: WlcMonomial, field):
+        # a call-time global lookup: a rebinding of ``wlc.wlc_mul`` is seen
+        return wlc_mul(a, b, field).terms
 
-
-def gen(i: int, field=QQ) -> WlcElement:
-    return WlcElement.basis(WlcMonomial(i, (), ()), field)
+    @classmethod
+    def gen(cls, i: int, field=QQ) -> "WlcElement":
+        return cls.basis(WlcMonomial(i, (), ()), field)
 
 
 def wlc_mul(a: WlcMonomial, b: WlcMonomial, field=QQ) -> WlcElement:
@@ -132,35 +129,12 @@ def wlc_mul(a: WlcMonomial, b: WlcMonomial, field=QQ) -> WlcElement:
     return WlcElement.zero(field)
 
 
-def wlc_eval(p: MagmaPoly) -> WlcElement:
-    """Linear bottom-up evaluation of a magma polynomial in the table algebra."""
-    field = p.field
-
-    def eval_word(w) -> WlcElement:
-        if isinstance(w, Atom):
-            if w.kind != "x":
-                raise ValueError(f"cannot evaluate formal variable {w!r}")
-            return gen(w.index, field)
-        l = eval_word(w.left)
-        if l.is_zero():
-            return l
-        r = eval_word(w.right)
-        return l * r
-
-    out = WlcElement.zero(field)
-    for w, c in p.terms.items():
-        out = out + eval_word(w).scaled(c)
-    return out
-
-
 def _lpart_representatives(mult: Mapping[int, int]) -> list[tuple[int, ...]]:
-    items: list[int] = []
-    for g in sorted(mult):
-        items.extend([g] * mult[g])
+    items = md_letters(mult)
     n = len(items)
     if n < 4:
         return [tuple(p) for p in distinct_permutations(items)]
-    s = tuple(sorted(items))
+    s = tuple(items)
     if len(set(items)) < len(items):
         return [s]
     return [s, s[:-2] + (s[-1], s[-2])]
@@ -182,11 +156,8 @@ def wlc_basis(md: Mapping[int, int]) -> list[WlcMonomial]:
             if n < 1:
                 continue
             rset = md_sub(rest, lset)
-            ritems: list[int] = []
-            for g in sorted(rset):
-                ritems.extend([g] * rset[g])
             for lp in _lpart_representatives(lset):
-                for rp in distinct_permutations(ritems):
+                for rp in distinct_permutations(md_letters(rset)):
                     out.append(WlcMonomial(b, lp, tuple(rp)))
     out.sort(key=WlcElement._key_order)
     return out

@@ -11,6 +11,10 @@ Basis element kinds (degree in parentheses):
   TEICH    Tch(x,t1,t2,t3), sorted   (4)
   RWORD    (x*t1)R_{t2}..R_{tk}, all t's interchangeable and sorted,
            k >= 4                    (k+1 >= 5)
+
+``WnElement`` is the ``LinComb`` of these keys; its product is ``wn_mul``
+extended bilinearly, and the normal form of a magma polynomial p is
+``magma.evaluate(p, WnElement)``.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from typing import Mapping
 
 from .fields import QQ
 from .lincomb import LinComb
-from .magma import Atom, MagmaPoly
-from .multisets import distinct_permutations, md_sub, md_total, sub_multisets
+from .multisets import distinct_permutations, md_letters, md_sub, md_total
 
 GEN = "gen"
 PAIR = "pair"
@@ -106,20 +109,14 @@ class WnElement(LinComb):
     def _key_order(e: WnBasisElement):
         return (e.degree, _KIND_ORDER[e.kind], e.args)
 
-    def __mul__(self, other: "WnElement") -> "WnElement":
-        self._check(other)
-        f = self.field
-        out = WnElement.zero(f)
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                prod = wn_mul(a, b, f)
-                if not prod.is_zero():
-                    out = out + prod.scaled(f.mul(ca, cb))
-        return out
+    @staticmethod
+    def _basis_product(a: WnBasisElement, b: WnBasisElement, field):
+        # a call-time global lookup: a rebinding of ``wn.wn_mul`` is seen
+        return wn_mul(a, b, field).terms
 
-
-def gen(i: int, field=QQ) -> WnElement:
-    return WnElement.basis(WnBasisElement(GEN, (i,)), field)
+    @classmethod
+    def gen(cls, i: int, field=QQ) -> "WnElement":
+        return cls.basis(WnBasisElement(GEN, (i,)), field)
 
 
 def _lin(field, *pairs) -> WnElement:
@@ -197,37 +194,9 @@ def wn_mul(a: WnBasisElement, b: WnBasisElement, field=QQ) -> WnElement:
     return WnElement.zero(field)
 
 
-def wn_eval(p: MagmaPoly) -> WnElement:
-    """Linear bottom-up evaluation of a magma polynomial in the table algebra."""
-    field = p.field
-
-    def eval_word(w) -> WnElement:
-        if isinstance(w, Atom):
-            if w.kind != "x":
-                raise ValueError(f"cannot evaluate formal variable {w!r}")
-            return gen(w.index, field)
-        l = eval_word(w.left)
-        if l.is_zero():
-            return l
-        r = eval_word(w.right)
-        return l * r
-
-    out = WnElement.zero(field)
-    for w, c in p.terms.items():
-        out = out + eval_word(w).scaled(c)
-    return out
-
-
 def is_annihilator(e: WnElement) -> bool:
     """True iff every term is an (x, y*t1, t2) element (or e = 0)."""
     return all(k.kind == MIDASSOC for k in e.terms)
-
-
-def _expand(mult: Mapping[int, int]) -> list[int]:
-    items: list[int] = []
-    for g in sorted(mult):
-        items.extend([g] * mult[g])
-    return items
 
 
 def wn_basis(md: Mapping[int, int]) -> list[WnBasisElement]:
@@ -235,7 +204,7 @@ def wn_basis(md: Mapping[int, int]) -> list[WnBasisElement]:
     deg = md_total(md)
     if deg < 1:
         raise ValueError("total degree must be >= 1")
-    letters = _expand(md)
+    letters = md_letters(md)
     out: list[WnBasisElement] = []
     if deg == 1:
         out.append(WnBasisElement(GEN, (letters[0],)))
@@ -248,7 +217,7 @@ def wn_basis(md: Mapping[int, int]) -> list[WnBasisElement]:
             out.append(WnBasisElement(LPROD, p))
         seen = set()
         for x_ in sorted(set(letters)):
-            rest = tuple(sorted(_expand(md_sub(md, {x_: 1}))))
+            rest = tuple(md_letters(md_sub(md, {x_: 1})))
             e = WnBasisElement(ASSOC, (x_,) + rest)
             if e not in seen:
                 seen.add(e)
@@ -257,20 +226,20 @@ def wn_basis(md: Mapping[int, int]) -> list[WnBasisElement]:
         seen = set()
         for x_ in sorted(set(letters)):
             rest3 = md_sub(md, {x_: 1})
-            for y in sorted(set(_expand(rest3))):
-                tpair = tuple(sorted(_expand(md_sub(rest3, {y: 1}))))
+            for y in sorted(set(md_letters(rest3))):
+                tpair = tuple(md_letters(md_sub(rest3, {y: 1})))
                 e = WnBasisElement(MIDASSOC, (x_, y) + tpair)
                 if e not in seen:
                     seen.add(e)
                     out.append(e)
-            e = WnBasisElement(TEICH, (x_,) + tuple(sorted(_expand(rest3))))
+            e = WnBasisElement(TEICH, (x_,) + tuple(md_letters(rest3)))
             if e not in seen:
                 seen.add(e)
                 out.append(e)
     else:
         seen = set()
         for x_ in sorted(set(letters)):
-            ts = tuple(sorted(_expand(md_sub(md, {x_: 1}))))
+            ts = tuple(md_letters(md_sub(md, {x_: 1})))
             e = WnBasisElement(RWORD, (x_,) + ts)
             if e not in seen:
                 seen.add(e)

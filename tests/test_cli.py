@@ -179,3 +179,13 @@ def test_error_check_identity_vanishing_denominator(capsys):
                "--identity", "1/3 v1*v2 + v2*v1 = 0")
     assert err.startswith("error: identity 1/3 (v1*v2) + (v2*v1) = 0")
     assert "denominator vanishes mod 3" in err
+
+
+def test_error_check_identity_empty_sweep(capsys):
+    lc = "v1*(v2*v3) - v2*(v1*v3) = 0"
+    err = fail(capsys, "check-identity", "--algebra", "wlc", "--identity", lc,
+               "--max-degree", "2")
+    assert "no assignment" in err
+    err = fail(capsys, "check-identity", "--algebra", "wlc", "--identity", lc,
+               "--pool", "0")
+    assert "pool 0" in err

@@ -14,10 +14,15 @@ from metanov import (
     parse_identity,
     preset,
 )
-from metanov.engine import _term_degree, basis_elements_by_degree, get_algebra
+from metanov import wlc, wn
+from metanov.engine import _term_degree, basis_elements_by_degree, get_algebra, gens_to_vars
 from metanov.fields import GF, QQ
-from metanov.magma import Atom, leaves, poly_variables, x
-from metanov.wn import MIDASSOC, RWORD, TEICH, WnElement, canonicalize, gen, wn_eval
+from metanov.magma import Atom, evaluate, leaves, poly_variables, x
+from metanov.multisets import partitions_of
+from metanov.oracle import IdentitySet, quotient_dimension
+from metanov.wn import MIDASSOC, RWORD, TEICH, WnElement, canonicalize
+
+gen = WnElement.gen
 
 
 def test_get_algebra():
@@ -38,6 +43,19 @@ def test_defining_identities_hold():
     met = parse_identity("(v1*v2)*(v3*v4)")
     assert check_identity("wnov", met, max_degree=6).holds
     assert check_identity("wlc", met, max_degree=6).holds
+
+
+def test_check_identity_refuses_an_empty_sweep():
+    # below 3 variables' worth of degree no assignment exists, so "holds"
+    # would be vacuous; one degree more finds the counterexample
+    lc = parse_identity("v1*(v2*v3) - v2*(v1*v3)")
+    with pytest.raises(ValueError, match="no assignment"):
+        check_identity("wlc", lc, max_degree=2)
+    assert not check_identity("wlc", lc, max_degree=3).holds
+    with pytest.raises(ValueError, match="pool 0"):
+        check_identity("wlc", lc, pool=0)
+    with pytest.raises(ValueError, match="pool 0"):
+        left_nilpotency_index("wnov", pool=0)
 
 
 def test_counterexample_reported_with_witness():
@@ -161,7 +179,7 @@ def test_left_nilpotency_wnov_is_five():
     res = left_nilpotency_index("wnov", cap=6)
     assert res.index == 5
     # the nonzero index-4 witness is the left-normed degree-4 word
-    w = wn_eval(x(1) * (x(2) * (x(3) * x(4))))
+    w = evaluate(x(1) * (x(2) * (x(3) * x(4))), WnElement)
     assert w == WnElement.basis(canonicalize(MIDASSOC, (1, 3, 2, 4)), QQ).scaled(-1)
 
 
@@ -173,10 +191,57 @@ def test_left_nilpotency_wlc_exceeds_cap():
     assert res.witness_value is not None and not res.witness_value.is_zero()
 
 
+def _reference_profile(ids, degree, field):
+    """nilpotency_profile as a loop over every multidegree shape."""
+    for part in partitions_of(degree):
+        md = {i + 1: p for i, p in enumerate(part)}
+        if quotient_dimension(ids, md, field) != 0:
+            return False
+    return True
+
+
 def test_nilpotency_profile():
     F = GF(1009)
     assert nilpotency_profile(preset("wlc2+flex"), 5, F)
     assert not nilpotency_profile(preset("wnov2"), 5, F)
+
+
+def test_multilinear_profile_matches_all_components():
+    F = GF(1009)
+    f = gens_to_vars(parse_expr("x1*x2 + 2 x2*x1"))
+    cases = [preset(name) for name in ("wlc2+flex", "wlc2+antiflex", "wlc2+lie-nilp:2",
+                                       "wlc2+jordan-nilp:2", "wnov2")]
+    cases.append(preset("wnov2").union(IdentitySet("f", (f,)), name="wnov2+f"))
+    # x*x = 0 kills the (5) component but not the multilinear one
+    square = IdentitySet("sq", (parse_identity("v1*v1 = 0"),))
+    cases.append(preset("met").union(square, name="met+sq"))
+    verdicts = []
+    for ids in cases:
+        verdicts.append(nilpotency_profile(ids, 5, F))
+        assert verdicts[-1] == _reference_profile(ids, 5, F), ids.name
+    assert verdicts == [True, True, True, True, False, True, False]
+
+
+def test_products_look_up_the_table_at_call_time(monkeypatch):
+    # the traced benchmark counts table products by rebinding these names
+    calls = {"wn": 0, "wlc": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(wn, "wn_mul", counting("wn", wn.wn_mul))
+    monkeypatch.setattr(wlc, "wlc_mul", counting("wlc", wlc.wlc_mul))
+    for name, algebra in (("wn", "wnov"), ("wlc", "wlc")):
+        element = get_algebra(algebra).element
+        element.gen(1) * element.gen(2)
+        assert calls[name] == 1
+        evaluate(x(1) * (x(2) * x(3)), element)
+        assert calls[name] == 3
+        check_identity(algebra, parse_identity("v1*v2"), max_degree=2, pool=1)
+        assert calls[name] == 4
 
 
 def test_classify_degree_two():

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 from metanov import (
     MagmaPoly,
     ParseError,
+    WlcElement,
+    WnElement,
+    evaluate,
     parse_expr,
     parse_identity,
     render,
-    wlc_eval,
-    wn_eval,
 )
 from metanov.fields import GF, QQ
 from metanov.magma import Atom, Node, enumerate_words, tch, x
@@ -65,9 +66,9 @@ def test_parse_identity_strips_rhs():
 
 
 def test_render_normal_forms():
-    assert render(wlc_eval(parse_expr("(x2*x1)*x3"))) == "x1 L[x2] R[x3]"
-    assert render(wn_eval(parse_expr("x1*(x2*(x3*x4))"))) == "-1 A(x1, x3*x2, x4)"
-    e = wn_eval(parse_expr("(((x1*x2)*x3)*x4)*x5"))
+    assert render(evaluate(parse_expr("(x2*x1)*x3"), WlcElement)) == "x1 L[x2] R[x3]"
+    assert render(evaluate(parse_expr("x1*(x2*(x3*x4))"), WnElement)) == "-1 A(x1, x3*x2, x4)"
+    e = evaluate(parse_expr("(((x1*x2)*x3)*x4)*x5"), WnElement)
     assert render(e) == "(x1*x2) R[x3,x4,x5]"
 
 

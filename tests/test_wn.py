@@ -7,16 +7,18 @@ import pytest
 from metanov import (
     WnBasisElement,
     WnElement,
+    evaluate,
     is_annihilator,
     parse_expr,
     wn_basis,
     wn_canonicalize,
-    wn_eval,
     wn_mul,
 )
 from metanov.fields import GF, QQ
 from metanov.magma import tch, x
-from metanov.wn import ASSOC, GEN, LPROD, MIDASSOC, PAIR, RWORD, TEICH, gen
+from metanov.wn import ASSOC, GEN, LPROD, MIDASSOC, PAIR, RWORD, TEICH
+
+gen = WnElement.gen
 
 
 def E(kind, *args, field=QQ):
@@ -118,12 +120,12 @@ def test_basis_sorted_unique():
 def test_right_symmetry_of_associators():
     # (x,y,z) = (x,z,y) holds at the normal-form level
     f = parse_expr("A(x1,x2,x3) - A(x1,x3,x2)")
-    assert wn_eval(f).is_zero()
+    assert evaluate(f, WnElement).is_zero()
 
 
 def test_left_normed_degree_four():
     # ((x1 x2) x3) x4 = Tch + 2(x1, x2*x3, x4) + (x2, x1*x3, x4)
-    e = wn_eval(parse_expr("((x1*x2)*x3)*x4"))
+    e = evaluate(parse_expr("((x1*x2)*x3)*x4"), WnElement)
     want = (E(TEICH, 1, 2, 3, 4) + E(MIDASSOC, 1, 2, 3, 4).scaled(2)
             + E(MIDASSOC, 2, 1, 3, 4))
     assert e == want
@@ -131,20 +133,20 @@ def test_left_normed_degree_four():
 
 def test_tch_combination_collapses():
     for a, b, c, d in itertools.product(range(1, 4), repeat=4):
-        got = wn_eval(tch(x(a), x(b), x(c), x(d)))
+        got = evaluate(tch(x(a), x(b), x(c), x(d)), WnElement)
         assert got == E(TEICH, a, b, c, d)
 
 
 def test_interchangeable_rword_indices():
     # all indices after the first are symmetric, including the second
-    e1 = wn_eval(parse_expr("(((x1*x2)*x3)*x4)*x5"))
-    e2 = wn_eval(parse_expr("(((x1*x5)*x3)*x4)*x2"))
+    e1 = evaluate(parse_expr("(((x1*x2)*x3)*x4)*x5"), WnElement)
+    e2 = evaluate(parse_expr("(((x1*x5)*x3)*x4)*x2"), WnElement)
     assert [k for k in e1.terms if k.kind == RWORD] == \
            [k for k in e2.terms if k.kind == RWORD]
 
 
 def test_modular_eval():
     F = GF(1009)
-    e = wn_eval(parse_expr("((x1*x2)*x3)*x4", F))
+    e = evaluate(parse_expr("((x1*x2)*x3)*x4", F), WnElement)
     assert e.field == F
     assert set(e.terms.values()) <= set(range(1, 1009))
