@@ -29,14 +29,12 @@ from .wn import (
     WnBasisElement,
     WnElement,
     canonicalize as wn_canonicalize,
-    is_annihilator,
     wn_basis,
     wn_mul,
 )
 from .oracle import (
     IdentitySet,
     RelationMatrix,
-    dimension_cross_check,
     load_identity_file,
     membership,
     preset,
@@ -64,10 +62,8 @@ __all__ = [
     "md_from_list",
     "WlcMonomial", "WlcElement", "canonicalize_L", "wlc_mul", "wlc_basis",
     "WnBasisElement", "WnElement", "wn_canonicalize", "wn_mul", "wn_basis",
-    "is_annihilator",
     "IdentitySet", "RelationMatrix", "preset", "load_identity_file",
     "relation_rows", "quotient_dimension", "quotient_basis", "membership",
-    "dimension_cross_check",
     "CheckReport", "Classification", "NilpotencyIndex",
     "check_identity", "left_nilpotency_index", "nilpotency_profile",
     "classify_multilinear", "operator_word_apply",

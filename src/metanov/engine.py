@@ -32,7 +32,7 @@ from .magma import (
     evaluate,
     is_multilinear,
     leaves,
-    multidegree,
+    poly_multidegree,
     poly_variables,
     v,
 )
@@ -306,11 +306,8 @@ def classify_multilinear(f: MagmaPoly, oracle_verify: bool = False,
     only if its Teichmueller (resp. associator) coordinates all vanish,
     leaving the alternating-orbit (resp. symmetric-orbit) candidate form.
     """
-    mds = [multidegree(w) for w in f.terms]
-    if not mds:
-        raise ValueError("cannot classify the zero polynomial")
-    md = mds[0]
-    if any(m != md for m in mds[1:]) or any(m != 1 for m in md.values()):
+    md = poly_multidegree(f, "x")
+    if any(m != 1 for m in md.values()):
         raise ValueError("classification requires a multilinear polynomial")
     n = md_total(md)
     if n < 2:
@@ -321,19 +318,13 @@ def classify_multilinear(f: MagmaPoly, oracle_verify: bool = False,
             "identity already holds in the variety; it defines no proper subvariety"
         )
     if n >= 5:
-        verdict, bound = "nilpotent_bound", n + 1
+        bound = n + 1
     elif n == 2:
-        verdict, bound = "nilpotent_bound", 5
-    elif n == 4:
-        if any(k.kind == wn.TEICH for k in nf.terms):
-            verdict, bound = "nilpotent_bound", 5
-        else:
-            verdict, bound = "non_nilpotent_candidate", None
-    else:  # n == 3
-        if any(k.kind == wn.ASSOC for k in nf.terms):
-            verdict, bound = "nilpotent_bound", 5
-        else:
-            verdict, bound = "non_nilpotent_candidate", None
+        bound = 5
+    else:
+        coordinate = wn.ASSOC if n == 3 else wn.TEICH
+        bound = 5 if any(k.kind == coordinate for k in nf.terms) else None
+    verdict = "non_nilpotent_candidate" if bound is None else "nilpotent_bound"
     confirmed = None
     if oracle_verify and bound is not None and bound <= 6:
         fld = oracle_field if oracle_field is not None else GF(1009)

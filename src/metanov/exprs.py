@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .fields import QQ
 from .lincomb import LinComb
-from .magma import MagmaPoly, expand_sugar, leaves, x as gen_poly, v as var_poly
+from .magma import _SUGAR, MagmaPoly, expand_sugar, leaves, x as gen_poly, v as var_poly
 
 
 class ParseError(ValueError):
@@ -30,8 +30,7 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_SUGAR_ARITY = {"A": 3, "C": 2, "O": 2, "T": 4}
-_SUGAR_RE = re.compile(r"\s*([ACOT])\(")
+_SUGAR_RE = re.compile(r"\s*([" + "".join(_SUGAR) + r"])\(")
 
 
 class _Parser:
@@ -125,7 +124,7 @@ class _Parser:
         if m:
             name = m.group(1)
             args = [self.parse_expr()]
-            for _ in range(_SUGAR_ARITY[name] - 1):
+            for _ in range(_SUGAR[name][0] - 1):
                 self.expect(",")
                 args.append(self.parse_expr())
             self.expect(")")

@@ -43,19 +43,11 @@ class Rationals:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return Fraction(1) / a
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)
@@ -97,9 +89,6 @@ class PrimeField:
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p

@@ -94,6 +94,28 @@ def multidegree(w: MagmaWord) -> dict[int, int]:
     return md
 
 
+def poly_multidegree(f: MagmaPoly, kind: str) -> dict[int, int]:
+    """The multiplicities of the ``kind`` leaves ("x": generators, "v":
+    formal variables) that every term of f shares.  A zero or
+    inhomogeneous f, or a leaf of the other kind, is refused."""
+    md = None
+    for w in f.terms:
+        cur: dict[int, int] = {}
+        for a in leaves(w):
+            if a.kind != kind:
+                other = "generator" if a.kind == "x" else "formal-variable"
+                raise ValueError(f"term {w!r} has a {other} leaf {a!r}; "
+                                 f"expected {kind}-leaves only")
+            cur[a.index] = cur.get(a.index, 0) + 1
+        if md is None:
+            md = cur
+        elif cur != md:
+            raise ValueError("polynomial is not multihomogeneous")
+    if md is None:
+        raise ValueError("the zero polynomial has no multidegree")
+    return md
+
+
 class MagmaPoly(LinComb):
     """Linear combination of words, in ``word_key`` order; the product of
     two words is their tree join."""
@@ -188,13 +210,6 @@ def evaluate(f: MagmaPoly, element: type[LinComb], leaf=None) -> LinComb:
     for w, c in f.terms.items():
         add_scaled(out, value(w).terms, c, field)
     return element._of(out, field)
-
-
-def replace_leaves(w: MagmaWord, mapping: Mapping[Atom, MagmaWord]) -> MagmaWord:
-    """Replace leaves by single words (used when every image is a word)."""
-    if isinstance(w, Atom):
-        return mapping.get(w, w)
-    return Node(replace_leaves(w.left, mapping), replace_leaves(w.right, mapping))
 
 
 def substitute(f: MagmaPoly, assignment: Mapping[int, MagmaPoly]) -> MagmaPoly:

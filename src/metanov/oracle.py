@@ -20,12 +20,13 @@ each identity is scaled to integers over Q and reduced mod p over GF(p).
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .fields import GF, QQ, Rationals
+from .fields import QQ, Rationals
 from .magma import (
     Atom,
     MagmaPoly,
@@ -34,7 +35,7 @@ from .magma import (
     enumerate_words,
     leaf_sequences,
     leaves,
-    multidegree,
+    poly_multidegree,
     poly_variables,
     shape_preorder,
     shape_preorders,
@@ -122,27 +123,23 @@ _SIMPLE_PRESETS = {
 def preset(name: str) -> IdentitySet:
     """Build a preset identity set; ``+`` combines presets.
 
-    Parameterized presets: ``lie-nilp:n``, ``jordan-nilp:n``,
-    ``weak-flex:+`` / ``weak-flex:-``.
+    Parameterized presets: ``lie-nilp:n`` and ``jordan-nilp:n`` for
+    n >= 1, ``weak-flex:+`` / ``weak-flex:-``.
     """
-    # "weak-flex:+" contains the combiner character; shield it while splitting
-    shielded = name.replace("weak-flex:+", "weak-flex:pos")
-    parts = [p.strip().replace("weak-flex:pos", "weak-flex:+")
-             for p in shielded.split("+") if p.strip()]
+    # a "+" right after ":" is the sign of "weak-flex:+", not a combiner
+    parts = [p.strip() for p in re.split(r"(?<!:)\+", name)]
+    if not all(parts):
+        raise ValueError(f"empty preset name in {name!r}")
     if len(parts) > 1:
-        out = preset(parts[0])
-        for p in parts[1:]:
-            out = out.union(preset(p), name=name)
-        return IdentitySet(name, out.identities)
+        return IdentitySet(name, sum((preset(p).identities for p in parts), ()))
     key = parts[0]
     if key in _SIMPLE_PRESETS:
         return IdentitySet(key, tuple(_SIMPLE_PRESETS[key]()))
-    if key.startswith("lie-nilp:"):
+    if key.startswith(("lie-nilp:", "jordan-nilp:")):
         n = int(key.split(":")[1])
-        return IdentitySet(key, (_op_chain(n, -1),))
-    if key.startswith("jordan-nilp:"):
-        n = int(key.split(":")[1])
-        return IdentitySet(key, (_op_chain(n, +1),))
+        if n < 1:
+            raise ValueError(f"{key}: the nilpotency order must be >= 1")
+        return IdentitySet(key, (_op_chain(n, -1 if key.startswith("lie") else +1),))
     if key == "weak-flex:+":
         return IdentitySet(key, (_weak_flex(+1),))
     if key == "weak-flex:-":
@@ -169,22 +166,6 @@ def load_identity_file(path: str) -> IdentitySet:
 # -- linearization -----------------------------------------------------
 
 
-def _var_multidegree(f: MagmaPoly) -> dict[int, int]:
-    md: dict[int, int] | None = None
-    for w in f.terms:
-        cur: dict[int, int] = {}
-        for a in leaves(w):
-            if a.kind == "v":
-                cur[a.index] = cur.get(a.index, 0) + 1
-        if md is None:
-            md = cur
-        elif md != cur:
-            raise ValueError("identity is not multihomogeneous in its variables")
-    if md is None:
-        raise ValueError("zero identity")
-    return md
-
-
 def linearize(f: MagmaPoly) -> MagmaPoly:
     """Full multilinearization of a multihomogeneous identity.
 
@@ -192,7 +173,7 @@ def linearize(f: MagmaPoly) -> MagmaPoly:
     than every variable's multiplicity, the multilinear consequences are
     unchanged; ``relation_rows`` refuses smaller p.
     """
-    vmd = _var_multidegree(f)
+    vmd = poly_multidegree(f, "v")
     assignment, nxt = {}, 1
     for k in sorted(vmd):
         assignment[k] = MagmaPoly({Atom("v", i): 1 for i in range(nxt, nxt + vmd[k])},
@@ -200,7 +181,7 @@ def linearize(f: MagmaPoly) -> MagmaPoly:
         nxt += vmd[k]
     allvars = list(range(1, nxt))
     out = {w: c for w, c in substitute(f, assignment).terms.items()
-           if sorted(a.index for a in leaves(w) if a.kind == "v") == allvars}
+           if sorted(a.index for a in leaves(w)) == allvars}
     if not out:
         raise ValueError("identity linearizes to zero")
     return MagmaPoly._of(out, f.field)
@@ -264,9 +245,6 @@ def _template(w: MagmaWord, vs: tuple[int, ...]):
     """A term of a linearized identity, cut at its leaves: the preorder
     segment in front of each leaf, and the block index each leaf takes."""
     shape, atoms = shape_preorder(w), leaves(w)
-    if any(a.kind != "v" for a in atoms):
-        raise ValueError(f"identity term {w!r} has a generator leaf; "
-                         f"identities are over v-variables only")
     segments, start = [], 0
     for i, t in enumerate(shape):
         if not t:
@@ -305,7 +283,7 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
     if 0 in md:
         raise ValueError("generator index 0 is reserved")
     for f in ids.identities:
-        if 0 < field.char <= max(_var_multidegree(f).values()):
+        if 0 < field.char <= max(poly_multidegree(f, "v").values()):
             raise ValueError(f"{ids.name} repeats a variable {field.char} or more "
                              f"times: linearization loses information in "
                              f"characteristic {field.char}")
@@ -433,9 +411,6 @@ class Echelon:
         self.pivots[max(r)] = r
         return True
 
-    def contains(self, row: dict[int, object]) -> bool:
-        return not self.reduce(row)
-
 
 def _echelon(matrix: RelationMatrix) -> Echelon:
     ech = Echelon(matrix.field)
@@ -470,32 +445,12 @@ def membership(f: MagmaPoly, ids: IdentitySet, field=None,
     f = MagmaPoly(f.terms, field)  # coefficients that vanish in ``field`` drop
     if f.is_zero():
         return True
-    mds = [multidegree(w) for w in f.terms]
-    md = mds[0]
-    if any(m != md for m in mds[1:]):
-        raise ValueError("membership requires a multihomogeneous polynomial")
+    md = poly_multidegree(f, "x")
     matrix = relation_rows(ids, md, field, cap)
     ech = _echelon(matrix)
     colindex = {w: i for i, w in enumerate(enumerate_words(md))}
     vec = {colindex[w]: c for w, c in f.terms.items()}
     if isinstance(field, Rationals):
         vec = dict(zip(vec, _cleared(list(vec.values()))[0]))
-    return ech.contains(vec)
+    return not ech.reduce(vec)
 
-
-def dimension_cross_check(ids: IdentitySet, md: Mapping[int, int],
-                          primes: Sequence[int] = (101, 1009),
-                          cap: int = DEFAULT_DEGREE_CAP) -> int:
-    """Dimension over Q, sanity-checked against GF(p) for each prime.
-
-    A disagreement (unlucky-prime rank drop would show up here) raises.
-    """
-    dim_q = quotient_dimension(ids, md, QQ, cap)
-    for p in primes:
-        dim_p = quotient_dimension(ids, md, GF(p), cap)
-        if dim_p != dim_q:
-            raise ArithmeticError(
-                f"dimension mismatch for {ids.name} at {dict(md)}: "
-                f"Q gives {dim_q}, GF({p}) gives {dim_p}"
-            )
-    return dim_q

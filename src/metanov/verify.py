@@ -229,37 +229,26 @@ def check_defining_identities(max_degree: int = 7, pool: int = 5) -> list[Result
 # -- criterion 3: dimension cross-checks --------------------------------
 
 
-def check_dimensions(max_total: int = 5, heavy_field=None) -> list[Result]:
+def check_dimensions(max_total: int = 5) -> list[Result]:
     """|basis(md)| == oracle dimension for every multidegree shape <= max_total.
 
-    Degree-5 components run over GF(1009) unless heavy_field says otherwise;
-    lower degrees run over Q.
+    Components of degree 5 and up run over GF(1009), lower degrees over Q.
     """
     out: list[Result] = []
     for total in range(1, max_total + 1):
-        field = QQ if total <= 4 else (heavy_field or GF(1009))
-        ok_wn = True
-        ok_wlc = True
-        details_wn = []
-        details_wlc = []
-        for part in partitions_of(total):
-            md = {i + 1: p for i, p in enumerate(part)}
-            dim = quotient_dimension(preset("wnov2"), md, field)
-            nb = len(wn.wn_basis(md))
-            details_wn.append(f"{part}:{dim}")
-            if dim != nb:
-                ok_wn = False
-                details_wn[-1] += f"!=|basis|={nb}"
-            dim = quotient_dimension(preset("wlc2"), md, field)
-            nb = len(wlc.wlc_basis(md))
-            details_wlc.append(f"{part}:{dim}")
-            if dim != nb:
-                ok_wlc = False
-                details_wlc[-1] += f"!=|basis|={nb}"
-        out.append((f"wnov2 dimensions match basis counts at degree {total}",
-                    ok_wn, f"[{field}] " + " ".join(details_wn)))
-        out.append((f"wlc2 dimensions match basis counts at degree {total}",
-                    ok_wlc, f"[{field}] " + " ".join(details_wlc)))
+        field = QQ if total <= 4 else GF(1009)
+        for name, basis in (("wnov2", wn.wn_basis), ("wlc2", wlc.wlc_basis)):
+            ok, details = True, []
+            for part in partitions_of(total):
+                md = {i + 1: p for i, p in enumerate(part)}
+                dim = quotient_dimension(preset(name), md, field)
+                nb = len(basis(md))
+                details.append(f"{part}:{dim}")
+                if dim != nb:
+                    ok = False
+                    details[-1] += f"!=|basis|={nb}"
+            out.append((f"{name} dimensions match basis counts at degree {total}",
+                        ok, f"[{field}] " + " ".join(details)))
     return out
 
 

@@ -129,35 +129,23 @@ def wlc_mul(a: WlcMonomial, b: WlcMonomial, field=QQ) -> WlcElement:
     return WlcElement.zero(field)
 
 
-def _lpart_representatives(mult: Mapping[int, int]) -> list[tuple[int, ...]]:
-    items = md_letters(mult)
-    n = len(items)
-    if n < 4:
-        return [tuple(p) for p in distinct_permutations(items)]
-    s = tuple(items)
-    if len(set(items)) < len(items):
-        return [s]
-    return [s, s[:-2] + (s[-1], s[-2])]
-
-
 def wlc_basis(md: Mapping[int, int]) -> list[WlcMonomial]:
-    """All canonical basis monomials of the given multidegree."""
-    deg = md_total(md)
-    if deg < 1:
+    """All canonical basis monomials of the given multidegree: for each
+    base letter and split of the other letters into L- and R-letters, the
+    ``canonicalize_L`` images of the orderings of the L-letters times the
+    orderings of the R-letters."""
+    if md_total(md) < 1:
         raise ValueError("total degree must be >= 1")
     out: list[WlcMonomial] = []
-    if deg == 1:
-        (g,) = md
-        return [WlcMonomial(g, (), ())]
     for b in sorted(md):
         rest = md_sub(md, {b: 1})
         for lset in sub_multisets(rest):
-            n = md_total(lset)
-            if n < 1:
-                continue
-            rset = md_sub(rest, lset)
-            for lp in _lpart_representatives(lset):
-                for rp in distinct_permutations(md_letters(rset)):
-                    out.append(WlcMonomial(b, lp, tuple(rp)))
+            if rest and not lset:
+                continue  # monomials of degree >= 2 carry an L-part
+            rletters = md_letters(md_sub(rest, lset))
+            lparts = {canonicalize_L(p) for p in distinct_permutations(md_letters(lset))}
+            for lp in lparts:
+                for rp in distinct_permutations(rletters):
+                    out.append(WlcMonomial(b, lp, rp))
     out.sort(key=WlcElement._key_order)
     return out

@@ -12,6 +12,11 @@ Basis element kinds (degree in parentheses):
   RWORD    (x*t1)R_{t2}..R_{tk}, all t's interchangeable and sorted,
            k >= 4                    (k+1 >= 5)
 
+``KINDS``, the kind table, states each kind's symmetry once: its degree
+and the number of its leading ordered indices, the rest being
+interchangeable and stored sorted.  An element's degree is its number of
+indices; ``canonicalize`` is the table's rule and ``wn_basis`` its image.
+
 ``WnElement`` is the ``LinComb`` of these keys; its product is ``wn_mul``
 extended bilinearly, and the normal form of a magma polynomial p is
 ``magma.evaluate(p, WnElement)``.
@@ -24,7 +29,7 @@ from typing import Mapping
 
 from .fields import QQ
 from .lincomb import LinComb
-from .multisets import distinct_permutations, md_letters, md_sub, md_total
+from .multisets import distinct_permutations, md_letters, md_total
 
 GEN = "gen"
 PAIR = "pair"
@@ -34,7 +39,23 @@ MIDASSOC = "midassoc"
 TEICH = "teich"
 RWORD = "rword"
 
-_KIND_ORDER = {GEN: 0, PAIR: 1, LPROD: 2, ASSOC: 3, MIDASSOC: 4, TEICH: 5, RWORD: 6}
+# kind -> (degree, number of leading ordered indices), in basis order.
+# R-words are the only kind of degree >= 5; their entry holds the least.
+KINDS = {
+    GEN: (1, 1),
+    PAIR: (2, 2),
+    LPROD: (3, 3),
+    ASSOC: (3, 1),
+    MIDASSOC: (4, 2),
+    TEICH: (4, 1),
+    RWORD: (5, 1),
+}
+_KIND_ORDER = {kind: i for i, kind in enumerate(KINDS)}
+
+
+def _table_degree(n: int) -> int:
+    """The degree column of ``KINDS`` that elements of degree n match."""
+    return min(n, KINDS[RWORD][0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,15 +65,7 @@ class WnBasisElement:
 
     @property
     def degree(self) -> int:
-        if self.kind == GEN:
-            return 1
-        if self.kind == PAIR:
-            return 2
-        if self.kind in (LPROD, ASSOC):
-            return 3
-        if self.kind in (MIDASSOC, TEICH):
-            return 4
-        return len(self.args)  # RWORD: x plus k tail indices, degree k+1
+        return len(self.args)
 
     def __repr__(self) -> str:
         a = self.args
@@ -73,33 +86,16 @@ class WnBasisElement:
 
 
 def canonicalize(kind: str, args) -> WnBasisElement:
-    """Sort the symmetric index subsets of a raw element descriptor."""
+    """The element of a raw descriptor: its interchangeable indices sorted."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown element kind {kind!r}")
     args = tuple(args)
-    if kind == GEN:
-        (g,) = args
-        return WnBasisElement(GEN, (g,))
-    if kind == PAIR:
-        a, b = args
-        return WnBasisElement(PAIR, (a, b))
-    if kind == LPROD:
-        x, y, z = args
-        return WnBasisElement(LPROD, (x, y, z))
-    if kind == ASSOC:
-        x, t1, t2 = args
-        return WnBasisElement(ASSOC, (x,) + tuple(sorted((t1, t2))))
-    if kind == MIDASSOC:
-        # (x, y*t1, t2) = (x, y*t2, t1)
-        x, y, t1, t2 = args
-        return WnBasisElement(MIDASSOC, (x, y) + tuple(sorted((t1, t2))))
-    if kind == TEICH:
-        x, t1, t2, t3 = args
-        return WnBasisElement(TEICH, (x,) + tuple(sorted((t1, t2, t3))))
-    if kind == RWORD:
-        x, ts = args[0], args[1:]
-        if len(ts) < 4:
-            raise ValueError("R-words need at least 4 interchangeable indices")
-        return WnBasisElement(RWORD, (x,) + tuple(sorted(ts)))
-    raise ValueError(f"unknown element kind {kind!r}")
+    degree, ordered = KINDS[kind]
+    if _table_degree(len(args)) != degree:
+        more = " or more" if kind == RWORD else ""
+        raise ValueError(f"{kind} elements take {degree}{more} indices, "
+                         f"got {len(args)}")
+    return WnBasisElement(kind, args[:ordered] + tuple(sorted(args[ordered:])))
 
 
 class WnElement(LinComb):
@@ -181,68 +177,20 @@ def wn_mul(a: WnBasisElement, b: WnBasisElement, field=QQ) -> WnElement:
                 (1, canonicalize(MIDASSOC, (x_, t1, t2, y))),
                 (1, canonicalize(MIDASSOC, (x_, t2, t1, y))),
             )
-        if a.kind == TEICH:
-            x_, t1, t2, t3 = a.args
-            return WnElement.basis(
-                canonicalize(RWORD, (x_, t1, t2, t3, y)), field
-            )
-        if a.kind == RWORD:
-            return WnElement.basis(
-                canonicalize(RWORD, a.args + (y,)), field
-            )
-        return WnElement.zero(field)
+        if a.kind in (TEICH, RWORD):
+            # Tch(x,t1,t2,t3) * y and R-words * y append R_y
+            return WnElement.basis(canonicalize(RWORD, a.args + (y,)), field)
     return WnElement.zero(field)
 
 
-def is_annihilator(e: WnElement) -> bool:
-    """True iff every term is an (x, y*t1, t2) element (or e = 0)."""
-    return all(k.kind == MIDASSOC for k in e.terms)
-
-
 def wn_basis(md: Mapping[int, int]) -> list[WnBasisElement]:
-    """All canonical basis elements of the given multidegree."""
+    """All canonical basis elements of the given multidegree: the images
+    under ``canonicalize`` of every ordering of md's letters, for every
+    kind of md's degree."""
     deg = md_total(md)
     if deg < 1:
         raise ValueError("total degree must be >= 1")
-    letters = md_letters(md)
-    out: list[WnBasisElement] = []
-    if deg == 1:
-        out.append(WnBasisElement(GEN, (letters[0],)))
-    elif deg == 2:
-        out.extend(
-            WnBasisElement(PAIR, p) for p in distinct_permutations(letters)
-        )
-    elif deg == 3:
-        for p in distinct_permutations(letters):
-            out.append(WnBasisElement(LPROD, p))
-        seen = set()
-        for x_ in sorted(set(letters)):
-            rest = tuple(md_letters(md_sub(md, {x_: 1})))
-            e = WnBasisElement(ASSOC, (x_,) + rest)
-            if e not in seen:
-                seen.add(e)
-                out.append(e)
-    elif deg == 4:
-        seen = set()
-        for x_ in sorted(set(letters)):
-            rest3 = md_sub(md, {x_: 1})
-            for y in sorted(set(md_letters(rest3))):
-                tpair = tuple(md_letters(md_sub(rest3, {y: 1})))
-                e = WnBasisElement(MIDASSOC, (x_, y) + tpair)
-                if e not in seen:
-                    seen.add(e)
-                    out.append(e)
-            e = WnBasisElement(TEICH, (x_,) + tuple(md_letters(rest3)))
-            if e not in seen:
-                seen.add(e)
-                out.append(e)
-    else:
-        seen = set()
-        for x_ in sorted(set(letters)):
-            ts = tuple(md_letters(md_sub(md, {x_: 1})))
-            e = WnBasisElement(RWORD, (x_,) + ts)
-            if e not in seen:
-                seen.add(e)
-                out.append(e)
-    out.sort(key=WnElement._key_order)
-    return out
+    kinds = [k for k, (d, _) in KINDS.items() if d == _table_degree(deg)]
+    perms = list(distinct_permutations(md_letters(md)))
+    return sorted({canonicalize(k, p) for k in kinds for p in perms},
+                  key=WnElement._key_order)

@@ -189,3 +189,14 @@ def test_error_check_identity_empty_sweep(capsys):
     err = fail(capsys, "check-identity", "--algebra", "wlc", "--identity", lc,
                "--pool", "0")
     assert "pool 0" in err
+
+
+def test_error_bad_preset_names(capsys):
+    err = fail(capsys, "dim", "--identities", "+", "--multidegree", "1,1")
+    assert err == "error: empty preset name in '+'"
+    for name in ("lie-nilp:0", "jordan-nilp:0"):
+        err = fail(capsys, "dim", "--identities", name, "--multidegree", "1,1")
+        assert err == f"error: {name}: the nilpotency order must be >= 1"
+    code, out = run(capsys, "dim", "--identities", "wlc2+weak-flex:+",
+                    "--multidegree", "1,1")
+    assert code == 0 and out.strip() == "2"

@@ -291,6 +291,14 @@ def test_classify_rejects_degenerate_inputs():
         classify_multilinear(parse_expr("(x1*x2)*(x3*x4)"))  # already zero
 
 
+def test_classify_refuses_malformed_input():
+    for text, msg in (("x1*v2", "formal-variable leaf"),
+                      ("x1*x2 + x1", "not multihomogeneous"),
+                      ("0", "zero polynomial")):
+        with pytest.raises(ValueError, match=msg):
+            classify_multilinear(parse_expr(text))
+
+
 def test_operator_word_apply_patterns():
     e = gen(1) * gen(2)  # degree-2 element
     rrr = operator_word_apply(e, [("R", 3), ("R", 4), ("R", 5)])

@@ -20,7 +20,7 @@ from metanov import (
     x,
 )
 from metanov.fields import QQ
-from metanov.magma import degree, is_multilinear, leaves, word_key
+from metanov.magma import degree, is_multilinear, leaves, poly_multidegree, word_key
 
 
 def _catalan(n: int) -> int:
@@ -120,6 +120,17 @@ def test_substitute_is_multiplicative_on_products():
     g = substitute(f, {1: x(1) + x(2), 2: x(3)})
     # expanding by hand: (x1+x2)(x3(x1+x2)) has 4 terms
     assert len(g.terms) == 4
+
+
+def test_poly_multidegree_is_shared_by_every_term():
+    assert poly_multidegree(x(1) * x(2) - x(2) * x(1), "x") == {1: 1, 2: 1}
+    assert poly_multidegree(v(1) * (v(1) * v(2)), "v") == {1: 2, 2: 1}
+    for f, kind, msg in ((MagmaPoly.zero(QQ), "x", "zero polynomial"),
+                         (x(1) * x(2) + x(1), "x", "not multihomogeneous"),
+                         (x(1) * v(2), "x", "formal-variable leaf v2"),
+                         (v(1) * x(2), "v", "generator leaf x2")):
+        with pytest.raises(ValueError, match=msg):
+            poly_multidegree(f, kind)
 
 
 def test_is_multilinear():

@@ -8,7 +8,6 @@ import pytest
 
 from metanov import (
     IdentitySet,
-    dimension_cross_check,
     load_identity_file,
     membership,
     parse_expr,
@@ -22,10 +21,10 @@ from metanov.fields import GF, QQ, Rationals
 from metanov.magma import (
     Atom,
     MagmaPoly,
+    Node,
     enumerate_words,
     multidegree,
     poly_variables,
-    replace_leaves,
     v,
     x,
 )
@@ -45,6 +44,20 @@ def test_presets_exist():
     assert len(preset("wlc2+flex").identities) == 3
     with pytest.raises(ValueError):
         preset("unknown-preset")
+
+
+def test_bad_preset_names_are_refused():
+    for name in ("", "+", "wnov2+", " + flex"):
+        with pytest.raises(ValueError, match="empty preset name"):
+            preset(name)
+    for name in ("lie-nilp:0", "lie-nilp:-2", "jordan-nilp:0", "wlc2+lie-nilp:0"):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            preset(name)
+    # the "+" of weak-flex:+ is its sign, not a combiner
+    plus = preset("weak-flex:+").identities
+    assert len(plus) == 1 and plus != preset("weak-flex:-").identities
+    assert preset("wlc2+weak-flex:+").identities == preset("wlc2").identities + plus
+    assert preset("weak-flex:++flex").identities == plus + preset("flex").identities
 
 
 def test_linearize_multilinear_renumbers():
@@ -95,11 +108,13 @@ def test_multilinear_dimension_sequence():
 
 
 def test_q_and_modular_dimensions_agree():
-    assert dimension_cross_check(preset("wnov2"), {1: 1, 2: 1, 3: 1, 4: 1}) == 16
-    assert dimension_cross_check(preset("wnov2"), {1: 2, 2: 1, 3: 1}) == len(
-        wn_basis({1: 2, 2: 1, 3: 1}))
-    assert dimension_cross_check(preset("wlc2"), {1: 1, 2: 1, 3: 1, 4: 1}) == 72
-    assert dimension_cross_check(preset("wlc2"), {1: 2, 2: 1, 3: 1}) == 36
+    for name, md, dim in (
+            ("wnov2", {1: 1, 2: 1, 3: 1, 4: 1}, 16),
+            ("wnov2", {1: 2, 2: 1, 3: 1}, len(wn_basis({1: 2, 2: 1, 3: 1}))),
+            ("wlc2", {1: 1, 2: 1, 3: 1, 4: 1}, 72),
+            ("wlc2", {1: 2, 2: 1, 3: 1}, 36)):
+        for field in (QQ, GF(101), GF(1009)):
+            assert quotient_dimension(preset(name), md, field) == dim, (name, md, field)
 
 
 def test_quotient_basis_spans():
@@ -136,6 +151,15 @@ def test_membership_of_consequences():
 def test_membership_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         membership(parse_expr("x1*x2 + x1"), preset("wnov2"))
+
+
+def test_malformed_identities_and_members_are_refused():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        quotient_dimension(IdentitySet("zero", (MagmaPoly.zero(QQ),)), {1: 2})
+    with pytest.raises(ValueError, match="not multihomogeneous"):
+        quotient_dimension(IdentitySet("mixed", (v(1) * v(2) + v(1),)), {1: 2}, GF(5))
+    with pytest.raises(ValueError, match="formal-variable leaf"):
+        membership(parse_expr("x1*v1"), preset("wnov2"))
 
 
 def test_lie_nilp_preset_cuts_dimension():
@@ -227,6 +251,13 @@ def test_vanishing_denominator_is_refused():
     # 1/3 = 2 in GF(5): the rows 2 x1x2 + x2x1 and x1x2 + 2 x2x1 are independent
     assert quotient_dimension(ids, {1: 1, 2: 1}, GF(5)) == 0
     assert quotient_dimension(ids, {1: 1, 2: 1}, QQ) == 0
+
+
+def replace_leaves(w, mapping):
+    """Replace leaves by single words."""
+    if isinstance(w, Atom):
+        return mapping.get(w, w)
+    return Node(replace_leaves(w.left, mapping), replace_leaves(w.right, mapping))
 
 
 def _reference_rows(ids, md, field):
