@@ -12,8 +12,8 @@ from .exprs import parse_expr, parse_identity, render
 from .fields import parse_field
 from .magma import evaluate
 from .multisets import md_from_list
-from .oracle import load_identity_file, membership, preset, quotient_basis, \
-    quotient_dimension
+from .oracle import DEFAULT_DEGREE_CAP, load_identity_file, membership, preset, \
+    quotient_basis, quotient_dimension
 from .verify import SUITES, run_suites
 
 
@@ -135,14 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="preset name (e.g. wnov2, wlc2+flex) or identity file")
     sp.add_argument("--multidegree", required=True, help="e.g. 1,1,1")
     sp.add_argument("--field", default="q")
-    sp.add_argument("--cap", type=int, default=6)
+    sp.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP)
     sp.set_defaults(fn=_cmd_dim)
 
     sp = sub.add_parser("basis", help="representative words of a component")
     sp.add_argument("--identities", required=True)
     sp.add_argument("--multidegree", required=True)
     sp.add_argument("--field", default="q")
-    sp.add_argument("--cap", type=int, default=6)
+    sp.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP)
     sp.set_defaults(fn=_cmd_basis)
 
     sp = sub.add_parser("check-identity",

@@ -62,8 +62,21 @@ def ordered_partitions(md: Mapping[int, int],
 
 
 def distinct_permutations(items) -> Iterator[tuple]:
-    """Distinct permutations of a multiset, in sorted order."""
-    yield from sorted(set(itertools.permutations(items)))
+    """Distinct permutations of a multiset, in sorted order: each is the
+    lexicographic successor of the one before (Knuth's Algorithm L)."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:

@@ -15,10 +15,16 @@ concatenation.  The column order is ``magma``'s: a word's column is its
 shape's rank in ``shape_preorders`` times the number of leaf sequences,
 plus its sequence's rank in ``leaf_sequences``.  Coefficients are ints:
 each identity is scaled to integers over Q and reduced mod p over GF(p).
+
+An identity left with one term, such as (v1v2)(v3v4), kills every word
+with a subtree of that term's shape (pattern leaves match any subtree).
+Dead columns get unit rows, in column order, first; the other rows are
+built on live words only, with terms on dead words dropped.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -136,7 +142,10 @@ def preset(name: str) -> IdentitySet:
     if key in _SIMPLE_PRESETS:
         return IdentitySet(key, tuple(_SIMPLE_PRESETS[key]()))
     if key.startswith(("lie-nilp:", "jordan-nilp:")):
-        n = int(key.split(":")[1])
+        try:
+            n = int(key.partition(":")[2])
+        except ValueError:
+            raise ValueError(f"{key}: the nilpotency order must be an integer") from None
         if n < 1:
             raise ValueError(f"{key}: the nilpotency order must be >= 1")
         return IdentitySet(key, (_op_chain(n, -1 if key.startswith("lie") else +1),))
@@ -253,85 +262,123 @@ def _template(w: MagmaWord, vs: tuple[int, ...]):
     return tuple(segments), tuple(vs.index(a.index) for a in atoms)
 
 
-def _flat_words(md: Mapping[int, int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The words of ``enumerate_words(md)`` as (shape preorder, leaf sequence)."""
+def _substituted(templates, shapes: tuple[tuple[int, ...], ...]) -> list:
+    """(preorder, slots, coefficient) of each template, ``shapes[k]`` filling block k."""
+    return [(sum((seg + shapes[k] for seg, k in zip(segments, slots)), ()), slots, c)
+            for segments, slots, c in templates]
+
+
+def _flat_words(md: Mapping[int, int], dead) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """``enumerate_words(md)`` as (shape preorder, leaf sequence), no ``dead`` shape."""
     seqs = leaf_sequences(md)
-    return [(shape, seq) for shape in shape_preorders(md_total(md)) for seq in seqs]
+    return [(shape, seq) for shape in shape_preorders(md_total(md))
+            if not dead(shape) for seq in seqs]
 
 
-def _contexts(rest: Mapping[int, int]):
-    """One-hole contexts over ``rest``, in word order, each cut at its hole:
-    (preorder before, preorder after, leaves before, leaves after)."""
+def _contexts(rest: Mapping[int, int], dead):
+    """One-hole contexts over ``rest`` of no ``dead`` shape, in word order, cut
+    at the hole: (preorder before, after, leaves before, after)."""
     if not rest:
         return [((), (), (), ())]
     out = []
-    for shape, seq in _flat_words({**rest, 0: 1}):
+    for shape, seq in _flat_words({**rest, 0: 1}, dead):
         h = seq.index(0)
         pos = [i for i, t in enumerate(shape) if not t][h]
         out.append((shape[:pos], shape[pos + 1:], seq[:h], seq[h + 1:]))
     return out
 
 
+def _instance_at(pattern: tuple[int, ...], shape: tuple[int, ...], i: int) -> bool:
+    """Whether the subtree of ``shape`` at preorder position i is an instance
+    of ``pattern``, a leaf of which matches any subtree."""
+    for t in pattern:
+        if t:
+            if not shape[i]:
+                return False
+            i += 1
+        else:
+            need = 1  # skip the subtree at i
+            while need:
+                need += 1 if shape[i] else -1
+                i += 1
+    return True
+
+
 def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
                   cap: int = DEFAULT_DEGREE_CAP) -> RelationMatrix:
     """All T-ideal consequence rows of ``ids`` in the ``md`` component,
     built on flat words (see the module docstring); column i is word i of
-    ``enumerate_words(md)``."""
+    ``enumerate_words(md)``.  The unit rows of the dead columns come first."""
     n = md_total(md)
     if n > cap:
         raise DegreeCapExceeded(f"degree {n} exceeds cap {cap}")
     if 0 in md:
         raise ValueError("generator index 0 is reserved")
+    patterns, identities = [], []
     for f in ids.identities:
         if 0 < field.char <= max(poly_multidegree(f, "v").values()):
             raise ValueError(f"{ids.name} repeats a variable {field.char} or more "
                              f"times: linearization loses information in "
                              f"characteristic {field.char}")
+        lin = linearize(f)
+        vs = poly_variables(lin)
+        if len(vs) > n:
+            continue
+        coeffs, _ = _coefficients(lin, field, f, f"of {ids.name}")
+        terms = [(w, c) for w, c in zip(lin.terms, coeffs) if c]
+        if len(terms) == 1:
+            patterns.append(shape_preorder(terms[0][0]))
+        elif terms:
+            identities.append((len(vs), [_template(w, vs) + (c,) for w, c in terms], {}))
+
+    @functools.cache
+    def dead(shape: tuple[int, ...]) -> bool:
+        return any(_instance_at(pat, shape, i)
+                   for pat in patterns for i in range(len(shape)))
+
     seqs = leaf_sequences(md)
     nseq = len(seqs)
     shapes = shape_preorders(n)
-    shape_offset = {shape: i * nseq for i, shape in enumerate(shapes)}
+    live_offset = {shape: i * nseq for i, shape in enumerate(shapes) if not dead(shape)}
     seq_rank = {seq: i for i, seq in enumerate(seqs)}
     cols = list(range(len(shapes) * nseq))  # one int per column, shared by rows
     p = None if isinstance(field, Rationals) else field.p
+    rows = [((col, 1),) for col in cols if shapes[col // nseq] not in live_offset]
     seen: set[tuple[tuple[int, int], ...]] = set()
-    rows: list[tuple[tuple[int, int], ...]] = []
     cache: dict[tuple, list] = {}
 
     def cached(fn, sub_md: Mapping[int, int]) -> list:
         key = (fn, *sorted(sub_md.items()))
         if key not in cache:
-            cache[key] = fn(sub_md)
+            cache[key] = fn(sub_md, dead)
         return cache[key]
 
-    for f in ids.identities:
-        lin = linearize(f)
-        vs = poly_variables(lin)
-        m = len(vs)
-        if m > n:
-            continue
-        coeffs, _ = _coefficients(lin, field, f, f"of {ids.name}")
-        templates = [_template(w, vs) + (c,)
-                     for w, c in zip(lin.terms, coeffs) if c]
+    for m, templates, filled in identities:  # filled: block shapes -> live terms
         for blocks, rest in ordered_partitions(md, m):
             contexts = cached(_contexts, rest)
             for combo in itertools.product(*(cached(_flat_words, b) for b in blocks)):
+                key = tuple([w[0] for w in combo])
+                if key not in filled:  # a dead term is dead in every context
+                    filled[key] = [t for t in _substituted(templates, key) if not dead(t[0])]
                 subbed = []
-                for segments, slots, c in templates:
-                    shape, seq = (), ()
-                    for seg, k in zip(segments, slots):
-                        shape += seg + combo[k][0]
+                for shape, slots, c in filled[key]:
+                    seq = ()
+                    for k in slots:
                         seq += combo[k][1]
                     subbed.append((shape, seq, c))
+                if not subbed:
+                    continue
                 for pre, post, left, right in contexts:
                     row: dict[int, int] = {}
                     for shape, seq, c in subbed:
-                        col = cols[shape_offset[pre + shape + post]
-                                   + seq_rank[left + seq + right]]
+                        off = live_offset.get(pre + shape + post)
+                        if off is None:
+                            continue
+                        col = cols[off + seq_rank[left + seq + right]]
                         row[col] = row[col] + c if col in row else c
                     if len(row) < len(subbed):
-                        # terms met in a column: their sum may vanish, and
-                        # over GF(p) it may leave [1, p)
+                        # terms met in a column or fell on a dead one: the
+                        # sum may vanish, and over GF(p) it may leave [1, p)
                         if p is not None:
                             row = {col: c % p for col, c in row.items()}
                         row = {col: c for col, c in row.items() if c}

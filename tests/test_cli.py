@@ -200,3 +200,16 @@ def test_error_bad_preset_names(capsys):
     code, out = run(capsys, "dim", "--identities", "wlc2+weak-flex:+",
                     "--multidegree", "1,1")
     assert code == 0 and out.strip() == "2"
+
+
+def test_error_bad_nilpotency_order(capsys):
+    err = fail(capsys, "dim", "--identities", "lie-nilp:x", "--multidegree", "1,1")
+    assert err == "error: lie-nilp:x: the nilpotency order must be an integer"
+
+
+def test_cap_defaults_to_the_oracle_cap():
+    from metanov.cli import build_parser
+    from metanov.oracle import DEFAULT_DEGREE_CAP
+    for cmd in ("dim", "basis"):
+        args = build_parser().parse_args([cmd, "--identities", "met", "--multidegree", "1"])
+        assert args.cap == DEFAULT_DEGREE_CAP

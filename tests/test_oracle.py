@@ -29,7 +29,8 @@ from metanov.magma import (
     x,
 )
 from metanov.multisets import ordered_partitions
-from metanov.oracle import DegreeCapExceeded, Echelon, _echelon, linearize
+from metanov.oracle import (DegreeCapExceeded, Echelon, RelationMatrix, _echelon,
+                            linearize)
 from metanov.wlc import wlc_basis
 from metanov.wn import wn_basis
 
@@ -300,26 +301,145 @@ def _reference_rows(ids, md, field):
     return words, rows
 
 
+def _metabelian_dead(w):
+    """Whether some node of w has two factors of degree >= 2."""
+    if isinstance(w, Atom):
+        return False
+    if not isinstance(w.left, Atom) and not isinstance(w.right, Atom):
+        return True
+    return _metabelian_dead(w.left) or _metabelian_dead(w.right)
+
+
+def _right_normed_dead(w):
+    """Whether some subword of w has the shape a*(b*(c*d))."""
+    if isinstance(w, Atom):
+        return False
+    if isinstance(w.right, Node) and isinstance(w.right.right, Node):
+        return True
+    return _right_normed_dead(w.left) or _right_normed_dead(w.right)
+
+
+def _spans_within(rows, other, field):
+    """Whether every row of ``rows`` reduces to zero against ``other``'s."""
+    ech = Echelon(field)
+    for row in other:
+        ech.add_row(dict(row))
+    return all(not ech.reduce(dict(row)) for row in rows)
+
+
 def test_relation_rows_match_word_tree_reference():
     fractional = IdentitySet("fractional", (
         parse_identity("1/2 A(v1,v2,v1) - 2/3 (v1*v2)*v1 = 0"),
         parse_identity("3/4 v1*(v2*v3) + 5/6 (v3*v1)*v2 = 0"),
     ))
-    cases = [
-        (preset("wnov2"), {i: 1 for i in range(1, 6)}, (QQ,)),
-        (preset("wlc2"), {i: 1 for i in range(1, 6)}, (GF(1009),)),
-        (preset("nov2"), {1: 2, 2: 2, 3: 1}, (QQ, GF(1009))),
-        (preset("wlc2+jordan-nilp:2"), {1: 3, 2: 1}, (QQ, GF(1009))),
-        (preset("wlc2+flex"), {1: 2, 2: 1, 3: 1}, (QQ, GF(1009))),
-        (fractional, {1: 2, 2: 1, 3: 1}, (QQ, GF(1009))),
-        (fractional, {1: 1, 2: 1, 3: 1}, (QQ, GF(1009))),
-    ]
-    for ids, md, fields in cases:
+    # no single-word identity: the very rows of the reference, in its order
+    for ids, md, fields in (
+            (fractional, {1: 2, 2: 1, 3: 1}, (QQ, GF(1009))),
+            (fractional, {1: 1, 2: 1, 3: 1}, (QQ, GF(1009))),
+            (preset("rs+wn"), {1: 2, 2: 1, 3: 1, 4: 1}, (QQ, GF(1009))),
+            (preset("flex"), {1: 2, 2: 1, 3: 1}, (QQ, GF(1009)))):
         for field in fields:
             matrix = relation_rows(ids, md, field)
             words, rows = _reference_rows(ids, md, field)
             assert matrix.ncols == len(words)
             assert matrix.rows == rows, (ids.name, md, field)
+    # with met: the unit rows of the dead columns, in column order, then
+    # rows on live columns only, spanning the reference's row space
+    for ids, md, fields in (
+            (preset("wnov2"), {i: 1 for i in range(1, 6)}, (QQ,)),
+            (preset("wlc2"), {i: 1 for i in range(1, 6)}, (GF(1009),)),
+            (preset("nov2"), {1: 2, 2: 2, 3: 1}, (QQ, GF(1009))),
+            (preset("wlc2+jordan-nilp:2"), {1: 3, 2: 1}, (QQ, GF(1009))),
+            (preset("wlc2+flex"), {1: 2, 2: 1, 3: 1}, (QQ, GF(1009)))):
+        for field in fields:
+            matrix = relation_rows(ids, md, field)
+            words, rows = _reference_rows(ids, md, field)
+            assert matrix.ncols == len(words)
+            dead = [i for i, w in enumerate(words) if _metabelian_dead(w)]
+            assert matrix.rows[:len(dead)] == [((i, 1),) for i in dead]
+            assert all(not _metabelian_dead(words[col])
+                       for row in matrix.rows[len(dead):] for col, _ in row)
+            assert _spans_within(matrix.rows, rows, field), (ids.name, md, field)
+            assert _spans_within(rows, matrix.rows, field), (ids.name, md, field)
+            assert (_echelon(matrix).pivots.keys()
+                    == _echelon(RelationMatrix(len(words), rows, field)).pivots.keys())
+
+
+def test_metabelian_live_shapes():
+    # 2^(n-2) of the Catalan(n-1) shapes have no node with two factors of
+    # degree >= 2; every other word is a unit row
+    for n in range(2, 9):
+        matrix = relation_rows(preset("met"), {1: n}, cap=8)
+        assert all(len(row) == 1 for row in matrix.rows)
+        assert matrix.ncols - matrix.nrows == 2 ** (n - 2)
+    assert quotient_dimension(preset("met"), {1: 3, 2: 2, 3: 1}) == 16 * 60
+
+
+def test_single_word_filter_is_decided_per_field():
+    pruned = IdentitySet("pruned", (
+        parse_identity("3 (v1*v2)*(v3*v4) + v1*(v2*(v3*v4)) = 0"), preset("rs").identities[0]))
+    vanishing = IdentitySet("vanishing", (
+        parse_identity("3 (v1*v2)*(v3*v4) = 0"), preset("rs").identities[0]))
+    md = {1: 2, 2: 1, 3: 1, 4: 1}
+    words = enumerate_words(md)
+    right_normed = [((i, 1),) for i, w in enumerate(words) if _right_normed_dead(w)]
+    metabelian = [((i, 1),) for i, w in enumerate(words) if _metabelian_dead(w)]
+    assert right_normed and metabelian
+    for ids, field, units in ((pruned, GF(3), right_normed), (vanishing, GF(3), []),
+                              (pruned, QQ, []), (vanishing, QQ, metabelian)):
+        matrix = relation_rows(ids, md, field)
+        _, rows = _reference_rows(ids, md, field)
+        assert matrix.rows[:len(units)] == units, (ids.name, field)
+        if not units:  # no single-word identity in this field: the very rows
+            assert matrix.rows == rows, (ids.name, field)
+        assert (_echelon(matrix).rank
+                == _echelon(RelationMatrix(len(words), rows, field)).rank), (ids.name, field)
+    # 3 (v1*v2)*(v3*v4) vanishes mod 3 and contributes no row at all
+    assert relation_rows(IdentitySet("v", vanishing.identities[:1]), md, GF(3)).rows == []
+
+
+def test_quotient_answers_match_reference_echelon():
+    rng = random.Random(11)
+    verdicts = set()
+    for name in ("wnov2", "wlc2", "nov2", "wlc2+flex"):
+        ids = preset(name)
+        for md in ({1: 2, 2: 1}, {1: 1, 2: 1, 3: 1, 4: 1}, {1: 2, 2: 1, 3: 1},
+                   {1: 2, 2: 2, 3: 1}, {1: 3, 2: 1, 3: 1}):
+            for field in (QQ, GF(1009)):
+                words, rows = _reference_rows(ids, md, field)
+                ref = _echelon(RelationMatrix(len(words), rows, field))
+                assert quotient_basis(ids, md, field) == [
+                    w for i, w in enumerate(words) if i not in ref.pivots]
+                for _ in range(4):
+                    vec = {}
+                    for row in rng.sample(rows, min(3, len(rows))):
+                        for col, c in row:
+                            vec[col] = vec.get(col, 0) + c
+                    if rng.random() < 0.5:
+                        col = rng.randrange(len(words))
+                        vec[col] = vec.get(col, 0) + 1
+                    vec = {col: c % field.p if field.char else c for col, c in vec.items()}
+                    vec = {col: c for col, c in vec.items() if c}
+                    f = MagmaPoly({words[col]: c for col, c in vec.items()}, field)
+                    if vec:
+                        member = membership(f, ids, field)
+                        assert member == (not ref.reduce(vec)), (name, md, field)
+                        verdicts.add(member)
+    assert verdicts == {True, False}
+
+
+def test_degree_seven_dimensions_match_basis_counts():
+    for md, wn_dim, wlc_dim in (({1: 3, 2: 3, 3: 1}, 3, 451),
+                                ({1: 3, 2: 2, 3: 1, 4: 1}, 4, 1324)):
+        assert len(wn_basis(md)) == wn_dim and len(wlc_basis(md)) == wlc_dim
+        assert quotient_dimension(preset("wnov2"), md, GF(1009), cap=7) == wn_dim
+        assert quotient_dimension(preset("wlc2"), md, GF(1009), cap=7) == wlc_dim
+
+
+def test_bad_nilpotency_order_is_refused():
+    for name in ("lie-nilp:x", "jordan-nilp:", "wlc2+lie-nilp:2.5"):
+        with pytest.raises(ValueError, match=r"nilp:.*must be an integer"):
+            preset(name)
 
 
 def _leaves(w):
