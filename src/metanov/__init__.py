@@ -17,7 +17,6 @@ from .magma import (
     enumerate_words,
     evaluate,
     expand_sugar,
-    multidegree,
     substitute,
     tch,
     v,
@@ -58,7 +57,7 @@ __all__ = [
     "GF", "QQ", "parse_field",
     "Atom", "Node", "MagmaPoly",
     "associator", "commutator", "circle", "tch", "expand_sugar",
-    "enumerate_words", "evaluate", "multidegree", "substitute", "x", "v",
+    "enumerate_words", "evaluate", "substitute", "x", "v",
     "md_from_list",
     "WlcMonomial", "WlcElement", "canonicalize_L", "wlc_mul", "wlc_basis",
     "WnBasisElement", "WnElement", "wn_canonicalize", "wn_mul", "wn_basis",

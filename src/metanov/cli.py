@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_classify)
 
     sp = sub.add_parser("verify", help="run verification suites")
-    sp.add_argument("--suite", choices=("tables", "oracle", "corollaries", "all"),
+    sp.add_argument("--suite", choices=(*SUITES, "all"),
                     default="all")
     sp.set_defaults(fn=_cmd_verify)
     return p

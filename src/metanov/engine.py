@@ -25,17 +25,8 @@ from operator import itemgetter
 from typing import Mapping, Sequence
 
 from . import wlc, wn
-from .fields import GF, QQ, Rationals
-from .magma import (
-    Atom,
-    MagmaPoly,
-    evaluate,
-    is_multilinear,
-    leaves,
-    poly_multidegree,
-    poly_variables,
-    v,
-)
+from .fields import GF, QQ
+from .magma import Atom, MagmaPoly, evaluate, leaves, poly_multidegree, v
 from .multisets import md_total
 from .oracle import (
     DEFAULT_DEGREE_CAP,
@@ -93,7 +84,7 @@ def _term_degree(w, slot_deg: Mapping[int, int]) -> int | None:
     is identically zero on that degree block (both table algebras kill any
     product of two factors of degree >= 2)."""
     if isinstance(w, Atom):
-        return slot_deg[w.index] if w.kind == "v" else 1
+        return slot_deg[w.index]
     dl = _term_degree(w.left, slot_deg)
     dr = _term_degree(w.right, slot_deg)
     if dl is None or dr is None or (dl >= 2 and dr >= 2):
@@ -119,17 +110,19 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
     slots an element of degree >= 2 are skipped, as are terms whose shape
     forces such a product on a block.  Within a block the value of each
     proper subword is memoized on (subword id, ids of the elements at its
-    variable slots); see the module docstring for the compiled form.  Over
-    GF(p), a coefficient whose denominator vanishes mod p raises
-    ``ValueError``, and so does a sweep with no assignment in it
-    (``pool < 1``, or ``max_degree`` below the number of variables).
+    variable slots); see the module docstring for the compiled form.
+    ``ValueError`` is raised for an identity whose ``poly_multidegree(f,
+    "v")`` is not all ones, for a coefficient whose denominator vanishes
+    mod p over GF(p), and for a sweep with no assignment in it (``pool <
+    1``, or ``max_degree`` below the number of variables).
     """
-    if not is_multilinear(f):
+    md = poly_multidegree(f, "v")
+    if any(k != 1 for k in md.values()):
         raise ValueError("check_identity requires a multilinear identity")
     alg = get_algebra(algebra)
     coeffs, den = _coefficients(f, field, f, f"checked in {algebra}")
-    p = None if isinstance(field, Rationals) else field.p
-    vs = poly_variables(f)
+    p = field.char
+    vs = sorted(md)
     m = len(vs)
     if pool < 1:
         raise ValueError(f"pool {pool} leaves no generator to substitute")
@@ -174,15 +167,11 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
         if w in compiled:
             return compiled[w]
         if isinstance(w, Atom):
-            if w.kind == "v":
-                s = slot[w.index]
-                fn = lambda combo: unit[combo[s]]
-            else:
-                const = {intern(alg.basis({w.index: 1})[0]): 1}
-                fn = lambda combo: const
+            s = slot[w.index]
+            fn = lambda combo: unit[combo[s]]
         else:
             left, right = compile_(w.left), compile_(w.right)
-            support = sorted({slot[a.index] for a in leaves(w) if a.kind == "v"})
+            support = sorted(slot[a.index] for a in leaves(w))
             if len(support) == m:
                 # distinct for every assignment: a memo entry is never read
                 def fn(combo):
@@ -190,7 +179,7 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
                     return mul(l, right(combo)) if l else l
             else:
                 nid = len(compiled)
-                sel = itemgetter(*support) if support else lambda combo: ()
+                sel = itemgetter(*support)
 
                 def fn(combo):
                     key = (nid, sel(combo))
@@ -220,7 +209,7 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
             for fn, c in live:
                 for k, x in fn(combo).items():
                     total[k] = total.get(k, 0) + c * x
-            if any(total.values()) if p is None else any(x % p for x in total.values()):
+            if any(x % p for x in total.values()) if p else any(total.values()):
                 value = {keys[k]: Fraction(x, den) for k, x in total.items()}
                 return CheckReport(
                     f, algebra, "counterexample",
@@ -275,8 +264,6 @@ def nilpotency_profile(ids: IdentitySet, degree: int, field=QQ,
     the image of a multilinear one under a substitution x_i -> x_j, and a
     T-ideal is closed under substitution, in every characteristic.
     """
-    if degree > cap:
-        raise ValueError(f"degree {degree} exceeds cap {cap}")
     md = {i: 1 for i in range(1, degree + 1)}
     return quotient_dimension(ids, md, field, cap) == 0
 

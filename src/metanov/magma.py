@@ -53,12 +53,6 @@ class Node:
 MagmaWord = Atom | Node
 
 
-def degree(w: MagmaWord) -> int:
-    if isinstance(w, Atom):
-        return 1
-    return degree(w.left) + degree(w.right)
-
-
 def leaves(w: MagmaWord) -> tuple[Atom, ...]:
     if isinstance(w, Atom):
         return (w,)
@@ -78,20 +72,10 @@ _KIND_ORDER = {"x": 0, "v": 1}
 def word_key(w: MagmaWord):
     """Total order on words: (degree, shape preorder, leaf sequence)."""
     return (
-        degree(w),
+        len(leaves(w)),
         shape_preorder(w),
         tuple((_KIND_ORDER[a.kind], a.index) for a in leaves(w)),
     )
-
-
-def multidegree(w: MagmaWord) -> dict[int, int]:
-    """Generator multiplicities of a word; rejects formal variables."""
-    md: dict[int, int] = {}
-    for a in leaves(w):
-        if a.kind != "x":
-            raise ValueError(f"word contains non-generator leaf {a!r}")
-        md[a.index] = md.get(a.index, 0) + 1
-    return md
 
 
 def poly_multidegree(f: MagmaPoly, kind: str) -> dict[int, int]:
@@ -241,21 +225,6 @@ def poly_variables(f: MagmaPoly) -> tuple[int, ...]:
             if a.kind == "v":
                 vs.add(a.index)
     return tuple(sorted(vs))
-
-
-def is_multilinear(f: MagmaPoly) -> bool:
-    """True if every term contains each of f's variables exactly once."""
-    vs = poly_variables(f)
-    if not vs:
-        return False
-    for w in f.terms:
-        seen: dict[int, int] = {}
-        for a in leaves(w):
-            if a.kind == "v":
-                seen[a.index] = seen.get(a.index, 0) + 1
-        if tuple(sorted(seen)) != vs or any(m != 1 for m in seen.values()):
-            return False
-    return True
 
 
 # -- word enumeration ------------------------------------------------

@@ -20,6 +20,21 @@ An identity left with one term, such as (v1v2)(v3v4), kills every word
 with a subtree of that term's shape (pattern leaves match any subtree).
 Dead columns get unit rows, in column order, first; the other rows are
 built on live words only, with terms on dead words dropped.
+
+Presets, in the identity-file grammar of ``exprs`` (each ``= 0``); ``+``
+combines them, as in ``wlc2+flex``:
+
+    rs           A(v1,v2,v3) - A(v1,v3,v2)          right symmetry
+    wn           v1*A(v2,v3,v4) - A(v2,v3,v1*v4)    weakly Novikov
+    lc           v1*(v2*v3) - v2*(v1*v3)            left commutativity
+    met          (v1*v2)*(v3*v4)                    metabelian
+    flex         A(v1,v2,v3) + A(v3,v2,v1)
+    antiflex     A(v1,v2,v3) - A(v3,v2,v1)
+    weak-flex:+  A(v1*v2,v3,v4) - A(v4,v3,v1*v2)
+    weak-flex:-  A(v1*v2,v3,v4) + A(v4,v3,v1*v2)
+    wlc2 = wn, met;  wnov2 = rs, wn, met;  nov2 = rs, wn, lc, met
+    lie-nilp:n, jordan-nilp:n   (v1*v2), then n-1 times w -> w*v - v*w,
+                 resp. w -> w*v + v*w, v a fresh variable
 """
 
 from __future__ import annotations
@@ -30,14 +45,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .fields import QQ, Rationals
+from .exprs import parse_identity, render
+from .fields import QQ
 from .magma import (
     Atom,
     MagmaPoly,
     MagmaWord,
-    associator,
     enumerate_words,
     leaf_sequences,
     leaves,
@@ -73,30 +88,25 @@ class IdentitySet:
 
 # -- identity presets --------------------------------------------------
 
+_RS = "A(v1,v2,v3) - A(v1,v3,v2)"
+_WN = "v1*A(v2,v3,v4) - A(v2,v3,v1*v4)"
+_LC = "v1*(v2*v3) - v2*(v1*v3)"
+_MET = "(v1*v2)*(v3*v4)"
 
-def _rs() -> MagmaPoly:
-    return associator(v(1), v(2), v(3)) - associator(v(1), v(3), v(2))
-
-
-def _wn() -> MagmaPoly:
-    return v(1) * associator(v(2), v(3), v(4)) - associator(v(2), v(3), v(1) * v(4))
-
-
-def _lc() -> MagmaPoly:
-    return v(1) * (v(2) * v(3)) - v(2) * (v(1) * v(3))
-
-
-def _met() -> MagmaPoly:
-    return (v(1) * v(2)) * (v(3) * v(4))
-
-
-def _flex() -> MagmaPoly:
+_PRESETS = {
+    "rs": [_RS],
+    "wn": [_WN],
+    "lc": [_LC],
+    "met": [_MET],
     # full linearization of (x,y,x) = 0, valid away from characteristic 2
-    return associator(v(1), v(2), v(3)) + associator(v(3), v(2), v(1))
-
-
-def _antiflex() -> MagmaPoly:
-    return associator(v(1), v(2), v(3)) - associator(v(3), v(2), v(1))
+    "flex": ["A(v1,v2,v3) + A(v3,v2,v1)"],
+    "antiflex": ["A(v1,v2,v3) - A(v3,v2,v1)"],
+    "weak-flex:+": ["A(v1*v2,v3,v4) - A(v4,v3,v1*v2)"],
+    "weak-flex:-": ["A(v1*v2,v3,v4) + A(v4,v3,v1*v2)"],
+    "wlc2": [_WN, _MET],
+    "wnov2": [_RS, _WN, _MET],
+    "nov2": [_RS, _WN, _LC, _MET],
+}
 
 
 def _op_chain(n: int, sign: int) -> MagmaPoly:
@@ -107,31 +117,18 @@ def _op_chain(n: int, sign: int) -> MagmaPoly:
     return w
 
 
-def _weak_flex(sign: int) -> MagmaPoly:
-    return associator(v(1) * v(2), v(3), v(4)) - associator(
-        v(4), v(3), v(1) * v(2)
-    ).scaled(sign)
-
-
-_SIMPLE_PRESETS = {
-    "rs": lambda: [_rs()],
-    "wn": lambda: [_wn()],
-    "lc": lambda: [_lc()],
-    "met": lambda: [_met()],
-    "flex": lambda: [_flex()],
-    "antiflex": lambda: [_antiflex()],
-    "wlc2": lambda: [_wn(), _met()],
-    "wnov2": lambda: [_rs(), _wn(), _met()],
-    "nov2": lambda: [_rs(), _wn(), _lc(), _met()],
-}
+def _identities(name: str, lines) -> IdentitySet:
+    """The identity set ``name`` written in ``lines``: one ``<expr over
+    v-vars> [= 0]`` per line, ``#`` starting a comment."""
+    ids = tuple(parse_identity(body) for line in lines
+                if (body := line.split("#", 1)[0].strip()))
+    if not ids:
+        raise ValueError(f"no identities found in {name}")
+    return IdentitySet(name, ids)
 
 
 def preset(name: str) -> IdentitySet:
-    """Build a preset identity set; ``+`` combines presets.
-
-    Parameterized presets: ``lie-nilp:n`` and ``jordan-nilp:n`` for
-    n >= 1, ``weak-flex:+`` / ``weak-flex:-``.
-    """
+    """The preset identity set ``name`` (see the module docstring)."""
     # a "+" right after ":" is the sign of "weak-flex:+", not a combiner
     parts = [p.strip() for p in re.split(r"(?<!:)\+", name)]
     if not all(parts):
@@ -139,8 +136,8 @@ def preset(name: str) -> IdentitySet:
     if len(parts) > 1:
         return IdentitySet(name, sum((preset(p).identities for p in parts), ()))
     key = parts[0]
-    if key in _SIMPLE_PRESETS:
-        return IdentitySet(key, tuple(_SIMPLE_PRESETS[key]()))
+    if key in _PRESETS:
+        return _identities(key, _PRESETS[key])
     if key.startswith(("lie-nilp:", "jordan-nilp:")):
         try:
             n = int(key.partition(":")[2])
@@ -149,27 +146,13 @@ def preset(name: str) -> IdentitySet:
         if n < 1:
             raise ValueError(f"{key}: the nilpotency order must be >= 1")
         return IdentitySet(key, (_op_chain(n, -1 if key.startswith("lie") else +1),))
-    if key == "weak-flex:+":
-        return IdentitySet(key, (_weak_flex(+1),))
-    if key == "weak-flex:-":
-        return IdentitySet(key, (_weak_flex(-1),))
     raise ValueError(f"unknown identity preset {name!r}")
 
 
 def load_identity_file(path: str) -> IdentitySet:
     """Read an identity set file: one ``<expr over v-vars> = 0`` per line."""
-    from .exprs import parse_identity
-
-    ids = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            ids.append(parse_identity(line))
-    if not ids:
-        raise ValueError(f"no identities found in {path}")
-    return IdentitySet(path, tuple(ids))
+        return _identities(path, fh)
 
 
 # -- linearization -----------------------------------------------------
@@ -215,19 +198,13 @@ def _normalized(r: dict[int, int], field) -> dict[int, int]:
     ``[1, p)`` over GF(p)), its largest column leading: content-stripped
     with positive lead over Q, lead 1 over GF(p).  May return r itself."""
     lead = max(r)
-    if isinstance(field, Rationals):
+    p = field.char
+    if not p:
         g = gcd(*r.values())
         g = -g if r[lead] < 0 else g
         return r if g == 1 else {col: c // g for col, c in r.items()}
-    p = field.p
     inv = pow(r[lead], -1, p)
     return r if inv == 1 else {col: c * inv % p for col, c in r.items()}
-
-
-def _cleared(cs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Rationals times the lcm of their denominators, and that lcm."""
-    den = lcm(*(c.denominator for c in cs))
-    return [int(c * den) for c in cs], den
 
 
 def _coefficients(lin: MagmaPoly, field, f: MagmaPoly,
@@ -238,12 +215,12 @@ def _coefficients(lin: MagmaPoly, field, f: MagmaPoly,
     denominator that vanishes mod p raises, naming f, ``where`` it is
     used, and p."""
     cs = [Fraction(c) for c in lin.terms.values()]
-    if isinstance(field, Rationals):
-        return _cleared(cs)
-    p = field.p
+    p = field.char
+    if not p:
+        den = lcm(*(c.denominator for c in cs))
+        return [int(c * den) for c in cs], den
     for c in cs:
         if c.denominator % p == 0:
-            from .exprs import render
             raise ValueError(f"identity {render(f)} = 0 {where} has the "
                              f"coefficient {c}, whose denominator vanishes "
                              f"mod {p}")
@@ -314,12 +291,13 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
         raise DegreeCapExceeded(f"degree {n} exceeds cap {cap}")
     if 0 in md:
         raise ValueError("generator index 0 is reserved")
+    p = field.char
     patterns, identities = [], []
     for f in ids.identities:
-        if 0 < field.char <= max(poly_multidegree(f, "v").values()):
-            raise ValueError(f"{ids.name} repeats a variable {field.char} or more "
+        if 0 < p <= max(poly_multidegree(f, "v").values()):
+            raise ValueError(f"{ids.name} repeats a variable {p} or more "
                              f"times: linearization loses information in "
-                             f"characteristic {field.char}")
+                             f"characteristic {p}")
         lin = linearize(f)
         vs = poly_variables(lin)
         if len(vs) > n:
@@ -342,7 +320,6 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
     live_offset = {shape: i * nseq for i, shape in enumerate(shapes) if not dead(shape)}
     seq_rank = {seq: i for i, seq in enumerate(seqs)}
     cols = list(range(len(shapes) * nseq))  # one int per column, shared by rows
-    p = None if isinstance(field, Rationals) else field.p
     rows = [((col, 1),) for col in cols if shapes[col // nseq] not in live_offset]
     seen: set[tuple[tuple[int, int], ...]] = set()
     cache: dict[tuple, list] = {}
@@ -379,7 +356,7 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
                     if len(row) < len(subbed):
                         # terms met in a column or fell on a dead one: the
                         # sum may vanish, and over GF(p) it may leave [1, p)
-                        if p is not None:
+                        if p:
                             row = {col: c % p for col, c in row.items()}
                         row = {col: c for col, c in row.items() if c}
                         if not row:
@@ -404,27 +381,33 @@ class Echelon:
 
     def __init__(self, field):
         self.field = field
-        self.rational = isinstance(field, Rationals)
         self.pivots: dict[int, dict[int, object]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: dict[int, object]) -> dict[int, object]:
-        """Residual of a row after reduction against the current pivots."""
+    def reduce(self, row) -> dict[int, object]:
+        """Residual of a row (a dict or (col, coeff) pairs) after reduction
+        against the current pivots."""
         r = dict(row)
-        pivots = self.pivots
-        if self.rational:
-            while r:
-                lead = max(r)
-                piv = pivots.get(lead)
-                if piv is None:
-                    break
-                # r <- ma*r - mb*piv cancels the lead
-                a, b = piv[lead], r[lead]
-                g = gcd(a, b)
-                ma, mb = a // g, b // g
+        pivots, p = self.pivots, self.field.char
+        while r:
+            lead = max(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                break
+            b = r[lead]
+            if p:  # piv's lead is 1, so r <- r - b*piv cancels the lead
+                for col, c in piv.items():
+                    s = (r.get(col, 0) - b * c) % p
+                    if s:
+                        r[col] = s
+                    else:
+                        del r[col]
+            else:  # r <- ma*r - mb*piv cancels the lead
+                g = gcd(piv[lead], b)
+                ma, mb = piv[lead] // g, b // g
                 if ma != 1:
                     for col in r:
                         r[col] *= ma
@@ -434,29 +417,12 @@ class Echelon:
                         r[col] = s
                     else:
                         del r[col]
-        else:
-            p = self.field.p
-            while r:
-                lead = max(r)
-                piv = pivots.get(lead)
-                if piv is None:
-                    break
-                # piv's lead is 1, so r <- r - b*piv cancels the lead
-                b = r[lead]
-                for col, c in piv.items():
-                    s = (r.get(col, 0) - b * c) % p
-                    if s:
-                        r[col] = s
-                    else:
-                        del r[col]
         return _normalized(r, self.field) if r else r
 
-    def add_row(self, row: dict[int, object]) -> bool:
+    def add_row(self, row) -> None:
         r = self.reduce(row)
-        if not r:
-            return False
-        self.pivots[max(r)] = r
-        return True
+        if r:
+            self.pivots[max(r)] = r
 
 
 def _echelon(matrix: RelationMatrix) -> Echelon:
@@ -465,7 +431,7 @@ def _echelon(matrix: RelationMatrix) -> Echelon:
     for row in sorted(matrix.rows, key=lambda r: (len(r), r[0][0])):
         if ech.rank == matrix.ncols:
             break
-        ech.add_row(dict(row))
+        ech.add_row(row)
     return ech
 
 
@@ -493,11 +459,8 @@ def membership(f: MagmaPoly, ids: IdentitySet, field=None,
     if f.is_zero():
         return True
     md = poly_multidegree(f, "x")
-    matrix = relation_rows(ids, md, field, cap)
-    ech = _echelon(matrix)
+    ech = _echelon(relation_rows(ids, md, field, cap))
     colindex = {w: i for i, w in enumerate(enumerate_words(md))}
-    vec = {colindex[w]: c for w, c in f.terms.items()}
-    if isinstance(field, Rationals):
-        vec = dict(zip(vec, _cleared(list(vec.values()))[0]))
-    return not ech.reduce(vec)
+    coeffs, _ = _coefficients(f, field, f, "tested for membership")
+    return not ech.reduce(zip(map(colindex.__getitem__, f.terms), coeffs))
 

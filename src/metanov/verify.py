@@ -357,39 +357,14 @@ def check_classification(field=None) -> list[Result]:
 # -- suite registry ------------------------------------------------------
 
 
-def suite_tables() -> list[Result]:
-    out = []
-    out += check_wn_table()
-    out += check_wlc_table()
-    out += check_tch_coherence()
-    out += check_operator_patterns()
-    out += check_defining_identities()
-    return out
-
-
-def suite_oracle() -> list[Result]:
-    out = []
-    out += check_dimensions()
-    out += check_left_nilpotency()
-    return out
-
-
-def suite_corollaries() -> list[Result]:
-    out = []
-    out += check_corollaries()
-    out += check_classification()
-    return out
-
-
 SUITES = {
-    "tables": suite_tables,
-    "oracle": suite_oracle,
-    "corollaries": suite_corollaries,
+    "tables": (check_wn_table, check_wlc_table, check_tch_coherence,
+               check_operator_patterns, check_defining_identities),
+    "oracle": (check_dimensions, check_left_nilpotency),
+    "corollaries": (check_corollaries, check_classification),
 }
 
 
 def run_suites(names) -> tuple[list[Result], bool]:
-    results: list[Result] = []
-    for n in names:
-        results.extend(SUITES[n]())
+    results = [r for n in names for check in SUITES[n] for r in check()]
     return results, all(ok for _, ok, _ in results)

@@ -19,7 +19,7 @@ from metanov.engine import _term_degree, basis_elements_by_degree, get_algebra, 
 from metanov.fields import GF, QQ
 from metanov.magma import Atom, evaluate, leaves, poly_variables, x
 from metanov.multisets import partitions_of
-from metanov.oracle import IdentitySet, quotient_dimension
+from metanov.oracle import DegreeCapExceeded, IdentitySet, quotient_dimension
 from metanov.wn import MIDASSOC, RWORD, TEICH, WnElement, canonicalize
 
 gen = WnElement.gen
@@ -33,8 +33,12 @@ def test_get_algebra():
 
 
 def test_check_identity_requires_multilinear():
-    with pytest.raises(ValueError):
-        check_identity("wnov", parse_expr("v1*v1"))
+    # every term must hold each formal variable once, and no generator
+    for text, msg in (("v1*v1", "multilinear"), ("v1*v2 + v1*v1", "multihomogeneous"),
+                      ("x1*x2", "generator leaf x1"), ("x1*v1", "generator leaf x1")):
+        with pytest.raises(ValueError, match=msg):
+            check_identity("wnov", parse_expr(text))
+    assert not check_identity("wnov", parse_expr("v1*v2 - v2*v1"), max_degree=2).holds
 
 
 def test_defining_identities_hold():
@@ -198,6 +202,11 @@ def _reference_profile(ids, degree, field):
         if quotient_dimension(ids, md, field) != 0:
             return False
     return True
+
+
+def test_nilpotency_profile_refuses_a_degree_above_the_cap():
+    with pytest.raises(DegreeCapExceeded, match="degree 7 exceeds cap 6"):
+        nilpotency_profile(preset("wnov2"), 7, GF(1009))
 
 
 def test_nilpotency_profile():

@@ -13,14 +13,13 @@ from metanov import (
     circle,
     commutator,
     enumerate_words,
-    multidegree,
     substitute,
     tch,
     v,
     x,
 )
 from metanov.fields import QQ
-from metanov.magma import degree, is_multilinear, leaves, poly_multidegree, word_key
+from metanov.magma import leaves, poly_multidegree, word_key
 
 
 def _catalan(n: int) -> int:
@@ -43,9 +42,9 @@ def test_bad_atom_rejected():
 
 def test_degree_and_leaves():
     w = Node(Node(Atom("x", 1), Atom("x", 2)), Atom("x", 3))
-    assert degree(w) == 3
+    assert len(leaves(w)) == 3
     assert leaves(w) == (Atom("x", 1), Atom("x", 2), Atom("x", 3))
-    assert multidegree(w) == {1: 1, 2: 1, 3: 1}
+    assert poly_multidegree(MagmaPoly.basis(w), "x") == {1: 1, 2: 1, 3: 1}
 
 
 def test_poly_linear_structure():
@@ -82,7 +81,7 @@ def test_enumeration_is_built_in_word_key_order():
         words = enumerate_words(md)
         keys = [word_key(w) for w in words]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        assert all(multidegree(w) == md for w in words)
+        assert all(poly_multidegree(MagmaPoly.basis(w), "x") == md for w in words)
         n = sum(md.values())
         assert len(words) == _catalan(n - 1) * math.factorial(n) // math.prod(
             math.factorial(m) for m in md.values())
@@ -134,14 +133,17 @@ def test_poly_multidegree_is_shared_by_every_term():
 
 
 def test_is_multilinear():
-    assert is_multilinear(v(1) * v(2) - v(2) * v(1))
-    assert not is_multilinear(v(1) * v(1))
-    assert not is_multilinear(v(1) * v(2) + v(1) * v(1))
-    assert not is_multilinear(x(1) * x(2))  # no formal variables at all
+    # multilinear: every formal variable of every term occurs exactly once
+    assert set(poly_multidegree(v(1) * v(2) - v(2) * v(1), "v").values()) == {1}
+    assert poly_multidegree(v(1) * v(1), "v") == {1: 2}
+    with pytest.raises(ValueError, match="not multihomogeneous"):
+        poly_multidegree(v(1) * v(2) + v(1) * v(1), "v")
+    with pytest.raises(ValueError, match="generator leaf x1"):
+        poly_multidegree(x(1) * x(2), "v")  # no formal variables at all
 
 
 @given(st.integers(min_value=1, max_value=4))
 def test_enumerate_words_multidegrees_match(n):
     md = {i: 1 for i in range(1, n + 1)}
     for w in enumerate_words(md):
-        assert multidegree(w) == md
+        assert poly_multidegree(MagmaPoly.basis(w), "x") == md
