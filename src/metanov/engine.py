@@ -12,7 +12,9 @@ tuple of ints and no ``Node`` is hashed in the sweep.  Values are
 constants, so the sweep is exact over Z, with the identity's
 coefficients cleared of denominators over Q and reduced mod p over
 GF(p).  Products of two basis elements come from the element type's
-basis product over Q and are cached for one call.
+basis product over Q and are cached for one call.  The sweep covers one
+assignment per relabeling class of x1..x<pool>: both tables commute with
+relabeling, the precondition that ``verify.check_relabeling`` checks.
 """
 
 from __future__ import annotations
@@ -42,11 +44,13 @@ class TableAlgebra:
     name: str
     element: type  # its LinComb subclass: key order, gen and basis product
     basis: object  # multidegree -> sorted basis keys
+    letters: object  # basis key -> its generator indices
 
 
 _ALGEBRAS = {
-    "wlc": TableAlgebra("wlc", wlc.WlcElement, wlc.wlc_basis),
-    "wnov": TableAlgebra("wnov", wn.WnElement, wn.wn_basis),
+    "wlc": TableAlgebra("wlc", wlc.WlcElement, wlc.wlc_basis,
+                        lambda m: (m.base, *m.lpart, *m.rpart)),
+    "wnov": TableAlgebra("wnov", wn.WnElement, wn.wn_basis, lambda e: e.args),
 }
 
 
@@ -105,12 +109,16 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
 
     Degree blocks (a degree per variable) are swept by total degree, each
     block's assignments in ``itertools.product`` order, and the first
-    nonzero value is the counterexample.  Both table algebras kill every
-    product of two factors of degree >= 2, so blocks assigning two or more
-    slots an element of degree >= 2 are skipped, as are terms whose shape
-    forces such a product on a block.  Within a block the value of each
-    proper subword is memoized on (subword id, ids of the elements at its
-    variable slots); see the module docstring for the compiled form.
+    nonzero value is the counterexample.  Both tables kill every product of
+    two factors of degree >= 2, so blocks giving two slots such elements are
+    skipped, as are terms whose shape forces such a product on a block.
+    Within a block each proper subword's value is memoized on (subword id,
+    ids of the elements at its slots).  Only assignments whose slots'
+    sorted letters, concatenated, form a restricted-growth string (no letter
+    above 1 + every letter before it) are evaluated: both tables commute
+    with relabeling (``verify.check_relabeling``), and relabeling by first
+    appearance gives such an assignment, in the same block, no later in
+    product order and zero exactly when the original is.
     ``ValueError`` is raised for an identity whose ``poly_multidegree(f,
     "v")`` is not all ones, for a coefficient whose denominator vanishes
     mod p over GF(p), and for a sweep with no assignment in it (``pool <
@@ -134,30 +142,36 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
     by_deg = basis_elements_by_degree(alg, max_degree - (m - 1), pool)
     keys = [k for d in sorted(by_deg) for k in by_deg[d]]
     key_id = {k: i for i, k in enumerate(keys)}
-    ids = {d: [key_id[k] for k in ks] for d, ks in by_deg.items()}
     unit = [{i: 1} for i in range(len(keys))]
+    # groups: by_deg's runs of one sorted letter multiset t; grows[d, hi]: the
+    # runs a restricted-growth string with largest letter hi may take next
+    groups = {d: [(t, [key_id[k] for k in ks]) for t, ks in itertools.groupby(
+        by_deg[d], lambda k: tuple(sorted(alg.letters(k))))] for d in by_deg}
+    grows = {(d, hi): [(ks, max(hi, t[-1])) for t, ks in groups[d]
+                       if all(b <= max(hi, a) + 1 for a, b in zip((hi,) + t, t))]
+             for d in groups for hi in range(pool + 1)}
 
     def intern(k) -> int:
-        i = key_id.get(k)
-        if i is None:
-            i = key_id[k] = len(keys)
+        if k not in key_id:
+            key_id[k] = len(keys)
             keys.append(k)
-        return i
+        return key_id[k]
 
     cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
-    def mul(l: dict, r: dict) -> dict:
-        out: dict[int, int] = {}
+    def mul(l: dict, r: dict, c: int, out: dict) -> dict:
+        """out += c * l * r, in place."""
         for a, ca in l.items():
             for b, cb in r.items():
                 prod = cache.get((a, b))
                 if prod is None:
                     prod = cache[a, b] = tuple(
-                        (intern(k), _integral(c)) for k, c in
+                        (intern(k), _integral(x)) for k, x in
                         alg.element._basis_product(keys[a], keys[b], QQ).items())
-                for k, c in prod:
-                    out[k] = out.get(k, 0) + ca * cb * c
-        return {k: c for k, c in out.items() if c} if 0 in out.values() else out
+                cab = c * ca * cb
+                for k, x in prod:
+                    out[k] = out.get(k, 0) + cab * x
+        return out
 
     memo: dict[tuple, dict] = {}
     compiled: dict = {}
@@ -171,51 +185,50 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
             fn = lambda combo: unit[combo[s]]
         else:
             left, right = compile_(w.left), compile_(w.right)
-            support = sorted(slot[a.index] for a in leaves(w))
-            if len(support) == m:
-                # distinct for every assignment: a memo entry is never read
-                def fn(combo):
-                    l = left(combo)
-                    return mul(l, right(combo)) if l else l
-            else:
-                nid = len(compiled)
-                sel = itemgetter(*support)
+            nid = len(compiled)
+            sel = itemgetter(*sorted(slot[a.index] for a in leaves(w)))
 
-                def fn(combo):
-                    key = (nid, sel(combo))
-                    val = memo.get(key)
-                    if val is None:
-                        l = left(combo)
-                        val = memo[key] = mul(l, right(combo)) if l else l
-                    return val
+            def fn(combo):
+                key = (nid, sel(combo))
+                val = memo.get(key)
+                if val is None:
+                    l = left(combo)
+                    val = mul(l, right(combo), 1, {}) if l else l
+                    val = memo[key] = {k: x for k, x in val.items() if x}
+                return val
         compiled[w] = fn
         return fn
 
-    terms = [(w, compile_(w), c) for w, c in zip(f.terms, coeffs) if c]
-    deg_choices = sorted(
-        (degs for degs in itertools.product(sorted(by_deg), repeat=m)
-         if sum(degs) <= max_degree and sum(1 for d in degs if d >= 2) <= 1),
-        key=lambda t: (sum(t), t),
-    )
+    def term(w):
+        """total += c * (w at combo), unmemoized: w holds every slot."""
+        if isinstance(w, Atom):  # a one-variable identity: its one term is w
+            return lambda combo, c, total: total.update({combo[slot[w.index]]: c})
+        left, right = compile_(w.left), compile_(w.right)
+        return lambda combo, c, total: (l := left(combo)) and mul(l, right(combo), c, total)
+
+    terms = [(w, term(w), c) for w, c in zip(f.terms, coeffs) if c]
+    deg_choices = sorted((degs for degs in itertools.product(sorted(by_deg), repeat=m)
+                          if sum(degs) <= max_degree and sum(d >= 2 for d in degs) <= 1),
+                         key=lambda t: (sum(t), t))
     for degs in deg_choices:
         slot_deg = dict(zip(vs, degs))
-        live = [(fn, c) for w, fn, c in terms
-                if _term_degree(w, slot_deg) is not None]
+        live = [(add, c) for w, add, c in terms if _term_degree(w, slot_deg) is not None]
         if not live:
             continue
         memo.clear()
-        for combo in itertools.product(*(ids[d] for d in degs)):
+        combos = [((), 0)]
+        for d in degs:
+            combos = [(combo + (k,), h) for combo, hi in combos
+                      for ks, h in grows[d, hi] for k in ks]
+        for combo, _ in combos:
             total: dict[int, int] = {}
-            for fn, c in live:
-                for k, x in fn(combo).items():
-                    total[k] = total.get(k, 0) + c * x
+            for add, c in live:
+                add(combo, c, total)
             if any(x % p for x in total.values()) if p else any(total.values()):
                 value = {keys[k]: Fraction(x, den) for k, x in total.items()}
-                return CheckReport(
-                    f, algebra, "counterexample",
-                    {var: keys[i] for var, i in zip(vs, combo)},
-                    alg.element(value, field), domain,
-                )
+                return CheckReport(f, algebra, "counterexample",
+                                   {var: keys[i] for var, i in zip(vs, combo)},
+                                   alg.element(value, field), domain)
     return CheckReport(f, algebra, "holds", None, None, domain)
 
 

@@ -127,6 +127,11 @@ def _identities(name: str, lines) -> IdentitySet:
     return IdentitySet(name, ids)
 
 
+@functools.cache
+def _named_preset(key: str) -> IdentitySet:
+    return _identities(key, _PRESETS[key])  # parsed once per process
+
+
 def preset(name: str) -> IdentitySet:
     """The preset identity set ``name`` (see the module docstring)."""
     # a "+" right after ":" is the sign of "weak-flex:+", not a combiner
@@ -137,7 +142,7 @@ def preset(name: str) -> IdentitySet:
         return IdentitySet(name, sum((preset(p).identities for p in parts), ()))
     key = parts[0]
     if key in _PRESETS:
-        return _identities(key, _PRESETS[key])
+        return _named_preset(key)
     if key.startswith(("lie-nilp:", "jordan-nilp:")):
         try:
             n = int(key.partition(":")[2])
@@ -455,12 +460,12 @@ def membership(f: MagmaPoly, ids: IdentitySet, field=None,
                cap: int = DEFAULT_DEGREE_CAP) -> bool:
     """True iff f lies in the T-ideal of ``ids`` (f = 0 in the free algebra)."""
     field = field if field is not None else f.field
-    f = MagmaPoly(f.terms, field)  # coefficients that vanish in ``field`` drop
-    if f.is_zero():
+    coeffs, _ = _coefficients(f, field, f, "tested for membership")
+    row = {w: c for w, c in zip(f.terms, coeffs) if c}  # c may vanish mod p
+    if not row:
         return True
-    md = poly_multidegree(f, "x")
+    md = poly_multidegree(MagmaPoly(row, field), "x")
     ech = _echelon(relation_rows(ids, md, field, cap))
     colindex = {w: i for i, w in enumerate(enumerate_words(md))}
-    coeffs, _ = _coefficients(f, field, f, "tested for membership")
-    return not ech.reduce(zip(map(colindex.__getitem__, f.terms), coeffs))
+    return not ech.reduce((colindex[w], c) for w, c in row.items())
 

@@ -15,7 +15,7 @@ from .fields import GF, QQ
 from .magma import MagmaPoly, associator, evaluate, tch, x
 from .multisets import partitions_of
 from .oracle import membership, preset, quotient_dimension
-from .wlc import WlcElement, WlcMonomial, _inversions, canonicalize_L
+from .wlc import WlcElement, WlcMonomial, _inversions, _mono, canonicalize_L
 from .wn import (
     ASSOC, GEN, LPROD, MIDASSOC, PAIR, RWORD, TEICH,
     WnBasisElement, WnElement, _lin, canonicalize, wn_mul,
@@ -204,26 +204,57 @@ def check_operator_patterns(pool: int = 5, field=QQ) -> list[Result]:
     return results
 
 
+# -- the relabeling symmetry under check_identity's sweep ---------------
+
+
+_RELABEL = {  # algebra -> (key, letter map s) -> s(key); odd s may flip an L-orbit
+    "wnov": lambda e, s: canonicalize(e.kind, [s[i] for i in e.args]),
+    "wlc": lambda m, s: _mono(s[m.base], [s[i] for i in m.lpart], [s[i] for i in m.rpart]),
+}
+
+
+def check_relabeling(max_degree: int = 5, pool: int = 5) -> list[Result]:
+    """mul(s a, s b) == s mul(a, b) for s = (1 2) and (1 2 .. pool), which
+    generate the permutations of x1..x<pool>, and each product of a generator
+    and a key of degree <= max_degree: ``engine.check_identity``'s symmetry."""
+    out: list[Result] = []
+    for name, relabel in _RELABEL.items():
+        alg = engine.get_algebra(name)
+        by_deg = engine.basis_elements_by_degree(alg, max_degree, pool)
+        keys, bad = sum(by_deg.values(), []), []
+        for a, b in [p for g in by_deg[1] for k in keys for p in ((g, k), (k, g))]:
+            ab = alg.element._basis_product(a, b, QQ)
+            for s in ([0, 2, 1, *range(3, pool + 1)], [0, *range(2, pool + 1), 1]):
+                if alg.element._basis_product(relabel(a, s), relabel(b, s), QQ) != \
+                        {relabel(key, s): c for key, c in ab.items()}:
+                    bad.append(f"{a!r}*{b!r} under {s[1:]}")
+        out.append((f"{name} table commutes with relabeling of x1..x{pool}", not bad,
+                    f"{4 * pool * len(keys)} products, keys of degree <= {max_degree}"
+                    + (f", first mismatch {bad[0]}" if bad else "")))
+    return out
+
+
 # -- criterion 2: defining identities in the table algebras -------------
 
 
 def check_defining_identities(max_degree: int = 7, pool: int = 5) -> list[Result]:
     out: list[Result] = []
-    cases = [
-        ("wnov", "rs", True), ("wnov", "wn", True), ("wnov", "met", True),
-        ("wlc", "wn", True), ("wlc", "met", True),
-        ("wlc", "lc", False), ("wlc", "rs", False),
-    ]
+    cases = [("wnov", "rs", True), ("wnov", "wn", True), ("wnov", "met", True),
+             ("wlc", "wn", True), ("wlc", "met", True),
+             ("wlc", "lc", False), ("wlc", "rs", False)]
     for alg, name, expect_holds in cases:
         f = preset(name).identities[0]
         rep = engine.check_identity(alg, f, max_degree=max_degree, pool=pool)
-        ok = rep.holds == expect_holds
-        detail = rep.verdict
-        if rep.verdict == "counterexample":
-            detail += f": {rep.assignment} -> {rep.value!r}"
+        detail = "" if rep.holds else f": {rep.assignment} -> {rep.value!r}"
         out.append((f"identity {name!r} in {alg}: expected "
-                    f"{'holds' if expect_holds else 'counterexample'}", ok, detail))
+                    f"{'holds' if expect_holds else 'counterexample'}",
+                    rep.holds == expect_holds, rep.verdict + detail))
     return out
+
+
+def check_defining_identities_pool_7() -> list[Result]:
+    """Criterion 2 over x1..x7: a distinct letter per degree up to 7."""
+    return [(f"{n} (x1..x7)", ok, d) for n, ok, d in check_defining_identities(7, 7)]
 
 
 # -- criterion 3: dimension cross-checks --------------------------------
@@ -359,7 +390,8 @@ def check_classification(field=None) -> list[Result]:
 
 SUITES = {
     "tables": (check_wn_table, check_wlc_table, check_tch_coherence,
-               check_operator_patterns, check_defining_identities),
+               check_operator_patterns, check_relabeling, check_defining_identities,
+               check_defining_identities_pool_7),
     "oracle": (check_dimensions, check_left_nilpotency),
     "corollaries": (check_corollaries, check_classification),
 }

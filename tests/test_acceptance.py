@@ -40,6 +40,12 @@ def test_criterion_2_defining_identities():
     _run(verify.check_defining_identities, 120)
 
 
+def test_criterion_2_defining_identities_over_seven_generators():
+    """Criterion 2 with x1..x7 to substitute from, so that every multidegree
+    up to degree 7 has a distinct generator for each of its letters."""
+    _run(verify.check_defining_identities_pool_7, 30)
+
+
 def test_criterion_3_dimensions_match_basis_counts():
     """Oracle dimensions equal basis counts for every multidegree shape of
     total degree <= 5; in particular 2, 9, 16, 5 (with right symmetry) and

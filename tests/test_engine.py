@@ -14,7 +14,7 @@ from metanov import (
     parse_identity,
     preset,
 )
-from metanov import wlc, wn
+from metanov import verify, wlc, wn
 from metanov.engine import _term_degree, basis_elements_by_degree, get_algebra, gens_to_vars
 from metanov.fields import GF, QQ
 from metanov.magma import Atom, evaluate, leaves, poly_variables, x
@@ -177,6 +177,79 @@ def test_compiled_sweep_matches_element_reference():
             res = left_nilpotency_index(alg, cap=cap, pool=3)
             want = _reference_nilpotency(alg, cap, 3, QQ)
             assert (res.index, res.witness_factors, res.witness_value) == want
+
+
+def _restricted_growth(algebra, assignment) -> bool:
+    """True iff the slots' letters, each slot's sorted and the slots in
+    variable order, form a restricted-growth string."""
+    hi = 0
+    for var in sorted(assignment):
+        for c in sorted(get_algebra(algebra).letters(assignment[var])):
+            if c > hi + 1:
+                return False
+            hi = max(hi, c)
+    return True
+
+
+def test_reduced_sweep_returns_the_unreduced_witness():
+    # Relabeling an assignment by first appearance gives a restricted-growth
+    # one, no later in product order, so the first witness of the full sweep
+    # is always of that form and the reduced sweep finds it.  Pools below
+    # the number of variables put witnesses past the generator blocks.
+    lnw = parse_identity("v1*(v2*(v3*v4))")
+    cases = [("wlc", preset(n).identities[0]) for n in ("lc", "rs", "flex", "weak-flex:-")]
+    cases += [("wnov", preset(n).identities[0]) for n in ("lc", "flex", "antiflex")]
+    cases += [("wnov", lnw), ("wlc", lnw)]
+    witnesses = []
+    for pool in (1, 2, 3, 4):
+        for alg, f in cases:
+            want = _reference_check(alg, f, 5, pool, QQ)
+            rep = check_identity(alg, f, max_degree=5, pool=pool)
+            assert (rep.verdict, rep.assignment, rep.value) == want, (alg, f, pool)
+            if not rep.holds:
+                assert _restricted_growth(alg, rep.assignment), (alg, f, pool)
+                witnesses.append(rep.assignment)
+    assert len(witnesses) > 20
+    assert any(k.degree > 1 for a in witnesses for k in a.values())
+
+
+def test_reduced_sweep_does_not_grow_with_the_pool(monkeypatch):
+    # the assignments swept are restricted-growth strings of at most
+    # max_degree letters, so generators past x<max_degree> add no products
+    calls = []
+    for mod, name in ((wn, "wn_mul"), (wlc, "wlc_mul")):
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+    for alg, f in (("wnov", preset("wn").identities[0]),
+                   ("wlc", preset("wn").identities[0]), ("wnov", preset("rs").identities[0])):
+        counts = []
+        for pool in (5, 7):
+            calls.clear()
+            assert check_identity(alg, f, max_degree=5, pool=pool).holds
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0, (alg, counts)
+
+
+def test_relabeling_check_passes():
+    results = verify.check_relabeling(max_degree=4)
+    assert [ok for _, ok, _ in results] == [True, True], results
+
+
+def test_relabeling_check_catches_an_orbit_blind_table(monkeypatch):
+    # a wlc_mul that stores every L-part sorted, merging the odd
+    # canonicalize_L orbit into the even one: the transposition (1 2) then
+    # maps a product's key to the odd orbit, where the relabeled factors'
+    # product lands in the even one
+    table = wlc.wlc_mul
+
+    def orbit_blind(a, b, field=QQ):
+        return wlc.WlcElement({wlc.WlcMonomial(m.base, tuple(sorted(m.lpart)), m.rpart): c
+                               for m, c in table(a, b, field).terms.items()}, field)
+
+    monkeypatch.setattr(wlc, "wlc_mul", orbit_blind)
+    results = verify.check_relabeling(max_degree=4)
+    assert [ok for _, ok, _ in results] == [True, False]
+    assert "first mismatch" in results[1][2]
 
 
 def test_left_nilpotency_wnov_is_five():

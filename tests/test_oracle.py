@@ -188,6 +188,29 @@ def test_membership_of_consequences():
     assert membership(parse_expr("x1 - x1"), wnov2)
 
 
+def test_membership_refuses_a_coefficient_that_has_no_value_mod_p():
+    f = parse_expr("1/3 x1*x2")
+    with pytest.raises(ValueError, match=r"coefficient 1/3, whose denominator vanishes mod 3"):
+        membership(f, preset("wnov2"), GF(3))
+    # a coefficient that is 0 mod p drops the term; the rest is tested
+    assert membership(parse_expr("3 x1*x2"), preset("wnov2"), GF(3))
+    assert not membership(parse_expr("3 x1*x2 + 1/2 ((x1*x2)*x3)*x4"),
+                          preset("wnov2"), GF(3))
+    assert membership(f, preset("wnov2"), GF(5)) is False
+
+
+def test_named_presets_are_parsed_once():
+    for name in ("wnov2", "wlc2+flex", "weak-flex:+", "lie-nilp:2"):
+        assert preset(name) == preset(name)
+    assert preset("wnov2") is preset("wnov2")  # parsed on the first call only
+    # a refused name is refused again, not remembered
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown identity preset"):
+            preset("wnov3")
+        with pytest.raises(ValueError, match="must be >= 1"):
+            preset("wlc2+lie-nilp:0")
+
+
 def test_membership_rejects_inhomogeneous():
     with pytest.raises(ValueError):
         membership(parse_expr("x1*x2 + x1"), preset("wnov2"))
