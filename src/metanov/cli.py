@@ -50,18 +50,14 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    field = parse_field(args.field)
-    ids = _identity_set(args.identities)
-    md = _parse_md(args.multidegree)
-    print(quotient_dimension(ids, md, field, cap=args.cap))
+    field, ids = parse_field(args.field), _identity_set(args.identities)
+    print(quotient_dimension(ids, _parse_md(args.multidegree), field, cap=args.cap))
     return 0
 
 
 def _cmd_basis(args) -> int:
-    field = parse_field(args.field)
-    ids = _identity_set(args.identities)
-    md = _parse_md(args.multidegree)
-    for w in quotient_basis(ids, md, field, cap=args.cap):
+    field, ids = parse_field(args.field), _identity_set(args.identities)
+    for w in quotient_basis(ids, _parse_md(args.multidegree), field, cap=args.cap):
         print(repr(w))
     return 0
 
@@ -83,15 +79,15 @@ def _cmd_check_identity(args) -> int:
 
 def _cmd_membership(args) -> int:
     ids = _identity_set(args.identities)
-    f = parse_expr(args.expr)
-    result = membership(f, ids)
+    result = membership(parse_expr(args.expr), ids, parse_field(args.field), args.cap)
     print("true" if result else "false")
     return 0
 
 
 def _cmd_classify(args) -> int:
     f = parse_expr(args.expr)
-    cls = classify_multilinear(f, oracle_verify=args.oracle_verify)
+    cls = classify_multilinear(f, oracle_verify=args.oracle_verify,
+                               oracle_field=parse_field(args.field))
     print(f"degree: {cls.degree}")
     print(f"verdict: {cls.verdict}")
     if cls.bound is not None:
@@ -130,20 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("expr")
     sp.set_defaults(fn=_cmd_normalize)
 
-    sp = sub.add_parser("dim", help="dimension of a multidegree component")
-    sp.add_argument("--identities", required=True,
-                    help="preset name (e.g. wnov2, wlc2+flex) or identity file")
-    sp.add_argument("--multidegree", required=True, help="e.g. 1,1,1")
-    sp.add_argument("--field", default="q")
-    sp.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP)
-    sp.set_defaults(fn=_cmd_dim)
-
-    sp = sub.add_parser("basis", help="representative words of a component")
-    sp.add_argument("--identities", required=True)
-    sp.add_argument("--multidegree", required=True)
-    sp.add_argument("--field", default="q")
-    sp.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP)
-    sp.set_defaults(fn=_cmd_basis)
+    for name, fn, text in (("dim", _cmd_dim, "dimension of a multidegree component"),
+                           ("basis", _cmd_basis, "representative words of a component")):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--identities", required=True,
+                        help="preset name (e.g. wnov2, wlc2+flex) or identity file")
+        sp.add_argument("--multidegree", required=True, help="e.g. 1,1,1")
+        sp.add_argument("--field", default="q")
+        sp.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP)
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("check-identity",
                         help="check an identity against a table algebra")
@@ -158,12 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("membership", help="T-ideal membership of an expression")
     sp.add_argument("--identities", required=True)
+    sp.add_argument("--field", default="q")
+    sp.add_argument("--cap", type=int, default=DEFAULT_DEGREE_CAP)
     sp.add_argument("expr")
     sp.set_defaults(fn=_cmd_membership)
 
     sp = sub.add_parser("classify",
                         help="classify a multilinear identity over x-vars")
     sp.add_argument("--oracle-verify", action="store_true")
+    sp.add_argument("--field", default="fp:1009", help="field of --oracle-verify")
     sp.add_argument("expr")
     sp.set_defaults(fn=_cmd_classify)
 

@@ -39,28 +39,6 @@ def sub_multisets(md: Mapping[int, int]) -> Iterator[dict[int, int]]:
         yield {g: c for g, c in zip(gens, counts) if c}
 
 
-def ordered_partitions(md: Mapping[int, int],
-                       nblocks: int) -> Iterator[tuple[list[dict[int, int]], dict[int, int]]]:
-    """Split md into ``nblocks`` nonempty labeled sub-multisets plus a rest.
-
-    Yields (blocks, rest); rest may be empty.
-    """
-    def rec(remaining: dict[int, int], k: int):
-        if k == 0:
-            yield [], dict(remaining)
-            return
-        for block in sub_multisets(remaining):
-            if not block:
-                continue
-            if md_total(remaining) - md_total(block) < k - 1:
-                continue
-            rest0 = md_sub(remaining, block)
-            for blocks, rest in rec(rest0, k - 1):
-                yield [block] + blocks, rest
-
-    yield from rec(dict(md), nblocks)
-
-
 def distinct_permutations(items) -> Iterator[tuple]:
     """Distinct permutations of a multiset, in sorted order: each is the
     lexicographic successor of the one before (Knuth's Algorithm L)."""

@@ -8,18 +8,25 @@ exact elimination: fraction-free integer pivoting over Q, modular
 elimination over GF(p).  The largest column of a row leads, so quotient
 bases are made of the earliest words under ``word_key``.
 
-Rows are built on flat words, never on ``Node`` trees: a word is a pair
-(shape preorder, leaf sequence), each identity term a template of the
-preorder segments between its leaves, and composing words is tuple
-concatenation.  The column order is ``magma``'s: a word's column is its
-shape's rank in ``shape_preorders`` times the number of leaf sequences,
-plus its sequence's rank in ``leaf_sequences``.  Coefficients are ints:
-each identity is scaled to integers over Q and reduced mod p over GF(p).
+Rows are stamped from patterns, never built on ``Node`` trees.  A word is
+a pair (shape preorder, leaf sequence) with ``magma``'s column: its shape's
+rank in ``shape_preorders`` times the number of leaf sequences, plus its
+sequence's rank in ``leaf_sequences``.  A pattern (an identity, a shape per
+block, and a one-hole context shape with its hole position) read at a
+letter sequence s (the context's letters left of the hole, each block's,
+then the rest) is a consequence.  Each live term of a pattern is a column
+offset and the map tau of positions that takes s to the term's leaf
+sequence, so one rank table per tau stamps the pattern at every s.  Of two
+patterns swapped by a transposition of blocks that maps the identity to
+plus or minus itself, which have the same rows, only the one with the
+smaller shape first is stamped.  Coefficients are ints: each identity is
+scaled to integers over Q and reduced mod p over GF(p).
 
 An identity left with one term, such as (v1v2)(v3v4), kills every word
 with a subtree of that term's shape (pattern leaves match any subtree).
-Dead columns get unit rows, in column order, first; the other rows are
-built on live words only, with terms on dead words dropped.
+Dead columns are in no row: the elimination takes them as implicit
+pivots.  The other rows are built on live words only, with terms on dead
+words dropped.
 
 Presets, in the identity-file grammar of ``exprs`` (each ``= 0``); ``+``
 combines them, as in ``wlc2+flex``:
@@ -45,6 +52,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Mapping
 
 from .exprs import parse_identity, render
@@ -63,7 +71,7 @@ from .magma import (
     substitute,
     v,
 )
-from .multisets import md_total, ordered_partitions
+from .multisets import md_total
 
 DEFAULT_DEGREE_CAP = 6
 
@@ -192,10 +200,11 @@ class RelationMatrix:
     ncols: int  # column i is word i of ``enumerate_words(md)``
     rows: list[tuple[tuple[int, int], ...]]  # sparse (col, int coeff), sorted
     field: object
+    dead: frozenset[int] = frozenset()  # columns with an implied unit row each
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.rows) + len(self.dead)
 
 
 def _normalized(r: dict[int, int], field) -> dict[int, int]:
@@ -232,41 +241,31 @@ def _coefficients(lin: MagmaPoly, field, f: MagmaPoly,
     return [c.numerator * pow(c.denominator, -1, p) % p for c in cs], 1
 
 
-def _template(w: MagmaWord, vs: tuple[int, ...]):
-    """A term of a linearized identity, cut at its leaves: the preorder
-    segment in front of each leaf, and the block index each leaf takes."""
-    shape, atoms = shape_preorder(w), leaves(w)
-    segments, start = [], 0
-    for i, t in enumerate(shape):
-        if not t:
-            segments.append(shape[start:i])
-            start = i + 1
-    return tuple(segments), tuple(vs.index(a.index) for a in atoms)
-
-
-def _substituted(templates, shapes: tuple[tuple[int, ...], ...]) -> list:
-    """(preorder, slots, coefficient) of each template, ``shapes[k]`` filling block k."""
-    return [(sum((seg + shapes[k] for seg, k in zip(segments, slots)), ()), slots, c)
-            for segments, slots, c in templates]
-
-
-def _flat_words(md: Mapping[int, int], dead) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """``enumerate_words(md)`` as (shape preorder, leaf sequence), no ``dead`` shape."""
-    seqs = leaf_sequences(md)
-    return [(shape, seq) for shape in shape_preorders(md_total(md))
-            if not dead(shape) for seq in seqs]
-
-
-def _contexts(rest: Mapping[int, int], dead):
-    """One-hole contexts over ``rest`` of no ``dead`` shape, in word order, cut
-    at the hole: (preorder before, after, leaves before, after)."""
-    if not rest:
-        return [((), (), (), ())]
+def _templates(lin: MagmaPoly, coeffs: list[int]) -> list[tuple]:
+    """The terms of a linearized identity with a nonzero int coefficient,
+    cut at their leaves: (the preorder segment in front of each leaf, the
+    block index each leaf takes, coefficient)."""
     out = []
-    for shape, seq in _flat_words({**rest, 0: 1}, dead):
-        h = seq.index(0)
-        pos = [i for i, t in enumerate(shape) if not t][h]
-        out.append((shape[:pos], shape[pos + 1:], seq[:h], seq[h + 1:]))
+    for w, c in zip(lin.terms, coeffs):
+        if c:
+            shape = shape_preorder(w)
+            cuts = [-1] + [i for i, t in enumerate(shape) if not t]
+            out.append((tuple(shape[a + 1:b] for a, b in itertools.pairwise(cuts)),
+                        tuple(a.index - 1 for a in leaves(w)), c))  # v1 is block 0
+    return out
+
+
+def _symmetries(templates, p: int) -> list[tuple[int, int, int]]:
+    """(a, b, sign) for each transposition a < b of the blocks that maps the
+    identity to sign times itself, its int coefficients compared mod p over
+    GF(p)."""
+    terms = {(segs, slots): c for segs, slots, c in templates}
+    out = []
+    for a, b in itertools.combinations(range(len(templates[0][1])), 2):
+        image = {(segs, tuple(b if k == a else a if k == b else k for k in slots)): c
+                 for (segs, slots), c in terms.items()}
+        out += [(a, b, sign) for sign in (1, -1)
+                if image == {key: sign * c % p if p else sign * c for key, c in terms.items()}]
     return out
 
 
@@ -289,8 +288,8 @@ def _instance_at(pattern: tuple[int, ...], shape: tuple[int, ...], i: int) -> bo
 def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
                   cap: int = DEFAULT_DEGREE_CAP) -> RelationMatrix:
     """All T-ideal consequence rows of ``ids`` in the ``md`` component,
-    built on flat words (see the module docstring); column i is word i of
-    ``enumerate_words(md)``.  The unit rows of the dead columns come first."""
+    stamped from patterns (see the module docstring); column i is word i
+    of ``enumerate_words(md)``.  Dead columns are not in any row."""
     n = md_total(md)
     if n > cap:
         raise DegreeCapExceeded(f"degree {n} exceeds cap {cap}")
@@ -304,15 +303,13 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
                              f"times: linearization loses information in "
                              f"characteristic {p}")
         lin = linearize(f)
-        vs = poly_variables(lin)
-        if len(vs) > n:
+        if len(poly_variables(lin)) > n:
             continue
-        coeffs, _ = _coefficients(lin, field, f, f"of {ids.name}")
-        terms = [(w, c) for w, c in zip(lin.terms, coeffs) if c]
-        if len(terms) == 1:
-            patterns.append(shape_preorder(terms[0][0]))
-        elif terms:
-            identities.append((len(vs), [_template(w, vs) + (c,) for w, c in terms], {}))
+        templates = _templates(lin, _coefficients(lin, field, f, f"of {ids.name}")[0])
+        if len(templates) == 1:
+            patterns.append(sum((seg + (0,) for seg in templates[0][0]), ()))
+        elif templates:
+            identities.append((templates, _symmetries(templates, p)))
 
     @functools.cache
     def dead(shape: tuple[int, ...]) -> bool:
@@ -322,55 +319,61 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
     seqs = leaf_sequences(md)
     nseq = len(seqs)
     shapes = shape_preorders(n)
-    live_offset = {shape: i * nseq for i, shape in enumerate(shapes) if not dead(shape)}
+    offset = {shape: i * nseq for i, shape in enumerate(shapes) if not dead(shape)}
+    dead_cols = frozenset(col for i, shape in enumerate(shapes) if shape not in offset
+                          for col in range(i * nseq, (i + 1) * nseq))
+    live = {k: [s for s in shape_preorders(k) if not dead(s)] for k in range(1, n + 1)}
+    # r context letters -> (hole position h, preorder before the hole, after)
+    contexts = {r: [(h, shape[:i], shape[i + 1:]) for shape in live[r + 1]
+                    for h, i in enumerate(i for i, t in enumerate(shape) if not t)]
+                for r in range(n)}
     seq_rank = {seq: i for i, seq in enumerate(seqs)}
-    cols = list(range(len(shapes) * nseq))  # one int per column, shared by rows
-    rows = [((col, 1),) for col in cols if shapes[col // nseq] not in live_offset]
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    cache: dict[tuple, list] = {}
+    rows: dict[tuple[tuple[int, int], ...], None] = {}
 
-    def cached(fn, sub_md: Mapping[int, int]) -> list:
-        key = (fn, *sorted(sub_md.items()))
-        if key not in cache:
-            cache[key] = fn(sub_md, dead)
-        return cache[key]
+    @functools.cache
+    def ranks(tau: tuple[int, ...]) -> list[int]:  # seq_rank[s o tau] for each s
+        return list(map(seq_rank.__getitem__, map(itemgetter(*tau), seqs)))
 
-    for m, templates, filled in identities:  # filled: block shapes -> live terms
-        for blocks, rest in ordered_partitions(md, m):
-            contexts = cached(_contexts, rest)
-            for combo in itertools.product(*(cached(_flat_words, b) for b in blocks)):
-                key = tuple([w[0] for w in combo])
-                if key not in filled:  # a dead term is dead in every context
-                    filled[key] = [t for t in _substituted(templates, key) if not dead(t[0])]
-                subbed = []
-                for shape, slots, c in filled[key]:
-                    seq = ()
-                    for k in slots:
-                        seq += combo[k][1]
-                    subbed.append((shape, seq, c))
-                if not subbed:
-                    continue
-                for pre, post, left, right in contexts:
-                    row: dict[int, int] = {}
-                    for shape, seq, c in subbed:
-                        off = live_offset.get(pre + shape + post)
-                        if off is None:
-                            continue
-                        col = cols[off + seq_rank[left + seq + right]]
-                        row[col] = row[col] + c if col in row else c
-                    if len(row) < len(subbed):
-                        # terms met in a column or fell on a dead one: the
-                        # sum may vanish, and over GF(p) it may leave [1, p)
-                        if p:
-                            row = {col: c % p for col, c in row.items()}
-                        row = {col: c for col, c in row.items() if c}
-                        if not row:
-                            continue
-                    norm = tuple(sorted(_normalized(row, field).items()))
-                    if norm not in seen:
-                        seen.add(norm)
-                        rows.append(norm)
-    return RelationMatrix(len(cols), rows, field)
+    def stamp(terms: list[tuple[int, tuple[int, ...], int]]) -> None:
+        """Add a pattern's rows at every s, from its live terms (offset, tau, c)."""
+        cs = [c for _, _, c in terms]
+        # norms[i]: cs normalized with term i leading, its key the largest
+        norms = [list(_normalized({(j == i, j): c for j, c in enumerate(cs)}, field).values())
+                 for i in range(len(cs))]
+        cols_at = [map(off.__add__, ranks(tau)) for off, tau, _ in terms]
+        check = len({off for off, _, _ in terms}) < len(terms)  # terms may meet
+        for cols in zip(*cols_at):
+            if check and len(set(cols)) < len(cols):  # terms met in a column
+                row: dict[int, int] = {}
+                for col, c in zip(cols, cs):
+                    row[col] = (row.get(col, 0) + c) % p if p else row.get(col, 0) + c
+                row = {col: c for col, c in row.items() if c}
+                if row:
+                    rows[tuple(sorted(_normalized(row, field).items()))] = None
+            else:
+                rows[tuple(sorted(zip(cols, norms[cols.index(max(cols))])))] = None
+
+    for templates, swaps in identities:
+        m = len(templates[0][1])
+        for sizes in itertools.product(range(1, n + 1), repeat=m):
+            width = sum(sizes)
+            if width > n:
+                continue
+            starts = list(itertools.accumulate(sizes, initial=0))
+            for blocks in itertools.product(*(live[k] for k in sizes)):
+                if any(blocks[a] > blocks[b] for a, b, _ in swaps):
+                    continue  # the same rows as its swap
+                terms = []
+                for segs, slots, c in templates:
+                    shape = sum((seg + blocks[k] for seg, k in zip(segs, slots)), ())
+                    if not dead(shape):  # a dead term is dead in every context
+                        pos = [i for k in slots for i in range(starts[k], starts[k + 1])]
+                        terms.append((shape, pos, c))
+                for h, pre, post in contexts[n - width] if terms else ():
+                    stamp([(off, (*range(h), *[h + i for i in pos], *range(h + width, n)), c)
+                           for shape, pos, c in terms
+                           if (off := offset.get(pre + shape + post)) is not None])
+    return RelationMatrix(len(shapes) * nseq, list(rows), field, dead_cols)
 
 
 # -- exact elimination ---------------------------------------------------
@@ -381,21 +384,26 @@ class Echelon:
 
     Rows are dicts of nonzero entries: integers over Q, combined
     fraction-free, and ints in ``[1, p)`` over GF(p).  Pivots are kept
-    ``_normalized``.  Reduction updates one residual dict in place.
+    ``_normalized``.  Reduction updates one residual dict in place.  The
+    ``dead`` columns are implicit pivots: they count in the rank, and
+    ``reduce`` drops their entries.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, dead: frozenset[int] = frozenset()):
         self.field = field
+        self.dead = dead
         self.pivots: dict[int, dict[int, object]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.dead) + len(self.pivots)
 
     def reduce(self, row) -> dict[int, object]:
         """Residual of a row (a dict or (col, coeff) pairs) after reduction
-        against the current pivots."""
+        against the current pivots, its entries on dead columns dropped."""
         r = dict(row)
+        for col in self.dead.intersection(r):
+            del r[col]
         pivots, p = self.pivots, self.field.char
         while r:
             lead = max(r)
@@ -431,8 +439,7 @@ class Echelon:
 
 
 def _echelon(matrix: RelationMatrix) -> Echelon:
-    ech = Echelon(matrix.field)
-    # unit rows first: they become pivots instantly and keep fill-in low
+    ech = Echelon(matrix.field, matrix.dead)
     for row in sorted(matrix.rows, key=lambda r: (len(r), r[0][0])):
         if ech.rank == matrix.ncols:
             break
@@ -453,7 +460,8 @@ def quotient_basis(ids: IdentitySet, md: Mapping[int, int], field=QQ,
     columns, which (the largest column of a row leading) are the basis picked
     greedily from the smallest word under ``word_key`` up."""
     ech = _echelon(relation_rows(ids, md, field, cap))
-    return [w for i, w in enumerate(enumerate_words(md)) if i not in ech.pivots]
+    return [w for i, w in enumerate(enumerate_words(md))
+            if i not in ech.pivots and i not in ech.dead]
 
 
 def membership(f: MagmaPoly, ids: IdentitySet, field=None,

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from . import engine, wlc, wn
 from .fields import GF, QQ
-from .magma import MagmaPoly, associator, evaluate, tch, x
-from .multisets import partitions_of
+from .magma import MagmaPoly, associator, evaluate, leaf_sequences, shape_preorders, tch, x
+from .multisets import md_from_list, partitions_of
 from .oracle import membership, preset, quotient_dimension
 from .wlc import WlcElement, WlcMonomial, _inversions, _mono, canonicalize_L
 from .wn import (
@@ -260,27 +260,46 @@ def check_defining_identities_pool_7() -> list[Result]:
 # -- criterion 3: dimension cross-checks --------------------------------
 
 
+def _dimension_checks(label: str, totals, field, max_cols=None) -> list[Result]:
+    """For wnov2 and wlc2: the oracle dimension over ``field`` equals
+    |basis(md)| at every multidegree md of a degree in ``totals`` that has
+    at most ``max_cols`` columns (bracketed words)."""
+    out: list[Result] = []
+    for name, basis in (("wnov2", wn.wn_basis), ("wlc2", wlc.wlc_basis)):
+        ok, details = True, []
+        for total in totals:
+            for part in partitions_of(total):
+                md = md_from_list(part)
+                if max_cols and len(shape_preorders(total)) * len(leaf_sequences(md)) > max_cols:
+                    continue
+                dim = quotient_dimension(preset(name), md, field, cap=total)
+                nb = len(basis(md))
+                ok &= dim == nb
+                details.append(f"{part}:{dim}" + ("" if dim == nb else f"!=|basis|={nb}"))
+        out.append((f"{name} dimensions match basis counts {label}", ok,
+                    f"[{field}] " + " ".join(details)))
+    return out
+
+
 def check_dimensions(max_total: int = 5) -> list[Result]:
     """|basis(md)| == oracle dimension for every multidegree shape <= max_total.
 
     Components of degree 5 and up run over GF(1009), lower degrees over Q.
     """
-    out: list[Result] = []
-    for total in range(1, max_total + 1):
-        field = QQ if total <= 4 else GF(1009)
-        for name, basis in (("wnov2", wn.wn_basis), ("wlc2", wlc.wlc_basis)):
-            ok, details = True, []
-            for part in partitions_of(total):
-                md = {i + 1: p for i, p in enumerate(part)}
-                dim = quotient_dimension(preset(name), md, field)
-                nb = len(basis(md))
-                details.append(f"{part}:{dim}")
-                if dim != nb:
-                    ok = False
-                    details[-1] += f"!=|basis|={nb}"
-            out.append((f"{name} dimensions match basis counts at degree {total}",
-                        ok, f"[{field}] " + " ".join(details)))
-    return out
+    return [r for total in range(1, max_total + 1)
+            for r in _dimension_checks(f"at degree {total}", [total],
+                                       QQ if total <= 4 else GF(1009))]
+
+
+def check_dimensions_degree_7() -> list[Result]:
+    """Degree 7 over GF(1009), at the nine multidegrees of <= 27,720 columns."""
+    return _dimension_checks("at degree 7, <= 27,720 columns", [7], GF(1009), max_cols=27720)
+
+
+def check_dimensions_small_char() -> list[Result]:
+    """Every multidegree of degree <= 5 over GF(3), GF(5) and GF(7)."""
+    return [r for p in (3, 5, 7)
+            for r in _dimension_checks(f"at degree <= 5 over GF({p})", range(1, 6), GF(p))]
 
 
 # -- criterion 5: left nilpotency ---------------------------------------
@@ -392,7 +411,8 @@ SUITES = {
     "tables": (check_wn_table, check_wlc_table, check_tch_coherence,
                check_operator_patterns, check_relabeling, check_defining_identities,
                check_defining_identities_pool_7),
-    "oracle": (check_dimensions, check_left_nilpotency),
+    "oracle": (check_dimensions, check_dimensions_degree_7, check_dimensions_small_char,
+               check_left_nilpotency),
     "corollaries": (check_corollaries, check_classification),
 }
 

@@ -116,6 +116,39 @@ def test_membership(capsys):
     assert code == 0 and out.strip() == "false"
 
 
+def test_membership_field_and_cap(capsys):
+    lnil = "x1*(x2*(x3*(x4*x5)))"
+    for field in ("q", "fp:3", "fp:1009"):
+        code, out = run(capsys, "membership", "--identities", "wnov2", "--field", field, lnil)
+        assert code == 0 and out.strip() == "true"
+    # 3 x1*x2 vanishes mod 3, so only the member (x1*x2)*(x3*x4) is left
+    code, out = run(capsys, "membership", "--identities", "wnov2", "--field", "fp:3",
+                    "3 ((x1*x2)*x3)*x4 + (x1*x2)*(x3*x4)")
+    assert code == 0 and out.strip() == "true"
+    code, out = run(capsys, "membership", "--identities", "wnov2", "--cap", "7",
+                    "x1*(x1*(x1*(x1*(x2*(x2*x2)))))")
+    assert code == 0 and out.strip() == "true"
+
+
+def test_error_membership_field_and_cap(capsys):
+    err = fail(capsys, "membership", "--identities", "wnov2", "--field", "fp:4", "x1*x2")
+    assert err == "error: modulus 4 is not prime"
+    err = fail(capsys, "membership", "--identities", "wnov2", "--field", "r", "x1*x2")
+    assert err.startswith("error: unknown field spec 'r'")
+    err = fail(capsys, "membership", "--identities", "wnov2", "--cap", "3",
+               "(x1*x2)*(x3*x4)")
+    assert err == "error: degree 4 exceeds cap 3"
+
+
+def test_classify_oracle_field(capsys):
+    for field in ("q", "fp:5"):
+        code, out = run(capsys, "classify", "--oracle-verify", "--field", field,
+                        "x1*x2 + 2 x2*x1")
+        assert code == 0 and "bound: 5" in out and "oracle confirmed: True" in out
+    err = fail(capsys, "classify", "--oracle-verify", "--field", "fp:9", "x1*x2 + 2 x2*x1")
+    assert err == "error: modulus 9 is not prime"
+
+
 def test_classify(capsys):
     code, out = run(capsys, "classify", "x1*x2 + 2 x2*x1")
     assert code == 0
@@ -213,3 +246,5 @@ def test_cap_defaults_to_the_oracle_cap():
     for cmd in ("dim", "basis"):
         args = build_parser().parse_args([cmd, "--identities", "met", "--multidegree", "1"])
         assert args.cap == DEFAULT_DEGREE_CAP
+    args = build_parser().parse_args(["membership", "--identities", "met", "x1"])
+    assert args.cap == DEFAULT_DEGREE_CAP

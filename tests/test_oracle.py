@@ -31,9 +31,10 @@ from metanov.magma import (
     v,
     x,
 )
-from metanov.multisets import ordered_partitions
-from metanov.oracle import (DegreeCapExceeded, Echelon, RelationMatrix, _echelon,
-                            linearize)
+from metanov.multisets import md_from_list, md_sub, md_total, partitions_of, sub_multisets
+from metanov.oracle import (DegreeCapExceeded, Echelon, RelationMatrix, _coefficients,
+                            _echelon, _symmetries, _templates, linearize)
+from metanov.verify import check_dimensions_degree_7, check_dimensions_small_char
 from metanov.wlc import wlc_basis
 from metanov.wn import wn_basis
 
@@ -325,6 +326,18 @@ def replace_leaves(w, mapping):
     return Node(replace_leaves(w.left, mapping), replace_leaves(w.right, mapping))
 
 
+def ordered_partitions(md, nblocks):
+    """Splits of md into ``nblocks`` nonempty labeled sub-multisets plus a
+    (possibly empty) rest: yields (blocks, rest)."""
+    if nblocks == 0:
+        yield [], dict(md)
+        return
+    for block in sub_multisets(md):
+        if block and md_total(md) - md_total(block) >= nblocks - 1:
+            for blocks, rest in ordered_partitions(md_sub(md, block), nblocks - 1):
+                yield [block] + blocks, rest
+
+
 def _reference_rows(ids, md, field):
     """Relation rows built on word trees: every consequence is composed as a
     ``Node`` word and looked up in a word -> column index."""
@@ -383,12 +396,27 @@ def _right_normed_dead(w):
     return _right_normed_dead(w.left) or _right_normed_dead(w.right)
 
 
-def _spans_within(rows, other, field):
-    """Whether every row of ``rows`` reduces to zero against ``other``'s."""
-    ech = Echelon(field)
-    for row in other:
-        ech.add_row(dict(row))
-    return all(not ech.reduce(dict(row)) for row in rows)
+def _check_against_reference(ids, md, field, dead_word=lambda w: False):
+    """``relation_rows`` against the word-tree reference: its dead columns
+    are the words ``dead_word`` marks, and no row touches one; without dead
+    columns its rows are the reference's; in every case the row spaces, the
+    dead columns taken as unit rows, contain each other, and the dead and
+    pivot columns are the reference echelon's leading columns."""
+    matrix = relation_rows(ids, md, field)
+    words, rows = _reference_rows(ids, md, field)
+    case = (ids.name, md, field)
+    assert matrix.ncols == len(words)
+    assert matrix.dead == {i for i, w in enumerate(words) if dead_word(w)}, case
+    assert not any(col in matrix.dead for row in matrix.rows for col, _ in row), case
+    if not matrix.dead:
+        assert sorted(matrix.rows) == sorted(rows), case
+    ech = _echelon(matrix)
+    ref = _echelon(RelationMatrix(len(words), rows, field))
+    assert all(not ech.reduce(row) for row in rows), case  # dead entries dropped
+    assert all(not ref.reduce(row) for row in matrix.rows), case
+    assert all(not ref.reduce({col: 1}) for col in matrix.dead), case
+    assert ech.pivots.keys() | matrix.dead == ref.pivots.keys(), case
+    assert ech.rank == ref.rank and matrix.nrows == len(matrix.rows) + len(matrix.dead), case
 
 
 def test_relation_rows_match_word_tree_reference():
@@ -396,19 +424,15 @@ def test_relation_rows_match_word_tree_reference():
         parse_identity("1/2 A(v1,v2,v1) - 2/3 (v1*v2)*v1 = 0"),
         parse_identity("3/4 v1*(v2*v3) + 5/6 (v3*v1)*v2 = 0"),
     ))
-    # no single-word identity: the very rows of the reference, in its order
-    for ids, md, fields in (
-            (fractional, {1: 2, 2: 1, 3: 1}, (QQ, GF(1009))),
-            (fractional, {1: 1, 2: 1, 3: 1}, (QQ, GF(1009))),
-            (preset("rs+wn"), {1: 2, 2: 1, 3: 1, 4: 1}, (QQ, GF(1009))),
-            (preset("flex"), {1: 2, 2: 1, 3: 1}, (QQ, GF(1009)))):
-        for field in fields:
-            matrix = relation_rows(ids, md, field)
-            words, rows = _reference_rows(ids, md, field)
-            assert matrix.ncols == len(words)
-            assert matrix.rows == rows, (ids.name, md, field)
-    # with met: the unit rows of the dead columns, in column order, then
-    # rows on live columns only, spanning the reference's row space
+    # no single-word identity: the reference's rows, sign-symmetric blocks
+    # (rs, flex, lc, antiflex) stamped once per pair of swapped patterns
+    for ids, md in ((fractional, {1: 2, 2: 1, 3: 1}), (fractional, {1: 1, 2: 1, 3: 1}),
+                    (preset("rs+wn"), {1: 2, 2: 1, 3: 1, 4: 1}),
+                    (preset("flex"), {1: 2, 2: 1, 3: 1}),
+                    (preset("lc+antiflex"), {1: 2, 2: 2, 3: 1})):
+        for field in (QQ, GF(1009)):
+            _check_against_reference(ids, md, field)
+    # with met: the metabelian-dead words are dead columns
     for ids, md, fields in (
             (preset("wnov2"), {i: 1 for i in range(1, 6)}, (QQ,)),
             (preset("wlc2"), {i: 1 for i in range(1, 6)}, (GF(1009),)),
@@ -416,26 +440,21 @@ def test_relation_rows_match_word_tree_reference():
             (preset("wlc2+jordan-nilp:2"), {1: 3, 2: 1}, (QQ, GF(1009))),
             (preset("wlc2+flex"), {1: 2, 2: 1, 3: 1}, (QQ, GF(1009)))):
         for field in fields:
-            matrix = relation_rows(ids, md, field)
-            words, rows = _reference_rows(ids, md, field)
-            assert matrix.ncols == len(words)
-            dead = [i for i, w in enumerate(words) if _metabelian_dead(w)]
-            assert matrix.rows[:len(dead)] == [((i, 1),) for i in dead]
-            assert all(not _metabelian_dead(words[col])
-                       for row in matrix.rows[len(dead):] for col, _ in row)
-            assert _spans_within(matrix.rows, rows, field), (ids.name, md, field)
-            assert _spans_within(rows, matrix.rows, field), (ids.name, md, field)
-            assert (_echelon(matrix).pivots.keys()
-                    == _echelon(RelationMatrix(len(words), rows, field)).pivots.keys())
+            _check_against_reference(ids, md, field, _metabelian_dead)
 
 
 def test_metabelian_live_shapes():
     # 2^(n-2) of the Catalan(n-1) shapes have no node with two factors of
-    # degree >= 2; every other word is a unit row
+    # degree >= 2; every other word is a dead column, and met has no rows
     for n in range(2, 9):
         matrix = relation_rows(preset("met"), {1: n}, cap=8)
-        assert all(len(row) == 1 for row in matrix.rows)
-        assert matrix.ncols - matrix.nrows == 2 ** (n - 2)
+        assert matrix.rows == []
+        assert matrix.ncols - len(matrix.dead) == 2 ** (n - 2)
+        assert _echelon(matrix).rank == len(matrix.dead) == matrix.nrows
+    for ids, md in ((preset("met"), {1: 2, 2: 2, 3: 1}), (preset("wnov2"), {1: 2, 2: 1, 3: 1}),
+                    (preset("wnov2"), {1: 1, 2: 1, 3: 1, 4: 1})):
+        for field in (QQ, GF(1009)):
+            _check_against_reference(ids, md, field, _metabelian_dead)
     assert quotient_dimension(preset("met"), {1: 3, 2: 2, 3: 1}) == 16 * 60
 
 
@@ -445,21 +464,44 @@ def test_single_word_filter_is_decided_per_field():
     vanishing = IdentitySet("vanishing", (
         parse_identity("3 (v1*v2)*(v3*v4) = 0"), preset("rs").identities[0]))
     md = {1: 2, 2: 1, 3: 1, 4: 1}
-    words = enumerate_words(md)
-    right_normed = [((i, 1),) for i, w in enumerate(words) if _right_normed_dead(w)]
-    metabelian = [((i, 1),) for i, w in enumerate(words) if _metabelian_dead(w)]
-    assert right_normed and metabelian
-    for ids, field, units in ((pruned, GF(3), right_normed), (vanishing, GF(3), []),
-                              (pruned, QQ, []), (vanishing, QQ, metabelian)):
-        matrix = relation_rows(ids, md, field)
-        _, rows = _reference_rows(ids, md, field)
-        assert matrix.rows[:len(units)] == units, (ids.name, field)
-        if not units:  # no single-word identity in this field: the very rows
-            assert matrix.rows == rows, (ids.name, field)
-        assert (_echelon(matrix).rank
-                == _echelon(RelationMatrix(len(words), rows, field)).rank), (ids.name, field)
+    for ids, field, dead_word in ((pruned, GF(3), _right_normed_dead),
+                                  (vanishing, GF(3), lambda w: False),
+                                  (pruned, QQ, lambda w: False),
+                                  (vanishing, QQ, _metabelian_dead)):
+        _check_against_reference(ids, md, field, dead_word)
     # 3 (v1*v2)*(v3*v4) vanishes mod 3 and contributes no row at all
-    assert relation_rows(IdentitySet("v", vanishing.identities[:1]), md, GF(3)).rows == []
+    matrix = relation_rows(IdentitySet("v", vanishing.identities[:1]), md, GF(3))
+    assert matrix.rows == [] and not matrix.dead
+
+
+def test_symmetric_block_swaps_are_decided_per_field():
+    def swaps(f, field):
+        lin = linearize(f)
+        templates = _templates(lin, _coefficients(lin, field, f, "")[0])
+        return [(f"v{a + 1}", f"v{b + 1}", sign)
+                for a, b, sign in _symmetries(templates, field.char)]
+
+    for name, want in (("rs", [("v2", "v3", -1)]), ("flex", [("v1", "v3", 1)]),
+                       ("antiflex", [("v1", "v3", -1)]), ("lc", [("v1", "v2", -1)]),
+                       ("wn", [])):
+        for field in (QQ, GF(3), GF(1009)):
+            assert swaps(preset(name).identities[0], field) == want, (name, field)
+    f = parse_identity("v1*v2 + 4 v2*v1 = 0")
+    assert swaps(f, QQ) == [] and swaps(f, GF(1009)) == []
+    assert swaps(f, GF(3)) == [("v1", "v2", 1)]
+    assert swaps(f, GF(5)) == [("v1", "v2", -1)]
+
+
+def test_membership_drops_dead_words():
+    # (x1*x2)*(x3*x4) is one dead column of wlc2; reduced with its dead entry
+    # dropped, the member vector is zero
+    assert membership(parse_expr("(x1*x2)*(x3*x4)"), preset("wlc2"))
+    assert membership(parse_expr("2 (x1*x2)*(x3*x4) - 3 (x4*x3)*(x2*x1)"),
+                      preset("wlc2"), GF(1009))
+    # a dead word plus a live non-member: the live part decides
+    f = parse_expr("(x1*x2)*(x3*x4) + x1*(x2*(x3*x4))")
+    assert not membership(f, preset("wnov2"))
+    assert not membership(f, preset("wnov2"), GF(1009))
 
 
 def test_quotient_answers_match_reference_echelon():
@@ -498,6 +540,28 @@ def test_degree_seven_dimensions_match_basis_counts():
         assert len(wn_basis(md)) == wn_dim and len(wlc_basis(md)) == wlc_dim
         assert quotient_dimension(preset("wnov2"), md, GF(1009), cap=7) == wn_dim
         assert quotient_dimension(preset("wlc2"), md, GF(1009), cap=7) == wlc_dim
+
+
+def _basis_counts(parts, basis):
+    return " ".join(f"{part}:{len(basis(md_from_list(part)))}" for part in parts)
+
+
+def test_verify_degree_seven_dimensions():
+    # every degree-7 multidegree with at most 27,720 = 132 * 210 columns
+    nine = [(7,), (6, 1), (5, 2), (5, 1, 1), (4, 3), (4, 2, 1), (4, 1, 1, 1), (3, 3, 1), (3, 2, 2)]
+    results = check_dimensions_degree_7()
+    assert len(results) == 2
+    for (name, ok, detail), basis in zip(results, (wn_basis, wlc_basis)):
+        assert ok and detail == f"[GF(1009)] {_basis_counts(nine, basis)}", (name, detail)
+
+
+def test_verify_small_characteristic_dimensions():
+    parts = [part for total in range(1, 6) for part in partitions_of(total)]
+    results = check_dimensions_small_char()
+    assert len(results) == 6
+    for (name, ok, detail), (p, basis) in zip(
+            results, itertools.product((3, 5, 7), (wn_basis, wlc_basis))):
+        assert ok and detail == f"[GF({p})] {_basis_counts(parts, basis)}", (name, detail)
 
 
 def test_bad_nilpotency_order_is_refused():
