@@ -305,6 +305,8 @@ def classify_multilinear(f: MagmaPoly, oracle_verify: bool = False,
     <= 5.  At degree 4 (resp. 3) the identity escapes a nilpotency bound
     only if its Teichmueller (resp. associator) coordinates all vanish,
     leaving the alternating-orbit (resp. symmetric-orbit) candidate form.
+    With ``oracle_verify``, a bound of at most 8 is checked by the oracle:
+    the bound's multilinear component of wnov2 + f must vanish.
     """
     md = poly_multidegree(f, "x")
     if any(m != 1 for m in md.values()):
@@ -326,12 +328,12 @@ def classify_multilinear(f: MagmaPoly, oracle_verify: bool = False,
         bound = 5 if any(k.kind == coordinate for k in nf.terms) else None
     verdict = "non_nilpotent_candidate" if bound is None else "nilpotent_bound"
     confirmed = None
-    if oracle_verify and bound is not None and bound <= 6:
+    if oracle_verify and bound is not None and bound <= 8:
         fld = oracle_field if oracle_field is not None else GF(1009)
         ids = preset("wnov2").union(
             IdentitySet("f", (gens_to_vars(f),)), name="wnov2+f"
         )
-        confirmed = nilpotency_profile(ids, bound, fld, cap=max(bound, 6))
+        confirmed = nilpotency_profile(ids, bound, fld, cap=bound)
     return Classification(f, n, verdict, bound, nf, confirmed)
 
 

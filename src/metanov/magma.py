@@ -262,6 +262,12 @@ def _build(shape: Iterator[int], letters: Iterator[Atom]) -> MagmaWord:
     return next(letters)
 
 
+def build_word(shape: tuple[int, ...], seq: tuple[int, ...]) -> MagmaWord:
+    """The word whose preorder is ``shape`` and whose leaves are x_i for i
+    in ``seq``: word i * len(seqs) + j of ``enumerate_words``, built alone."""
+    return _build(iter(shape), (Atom("x", g) for g in seq))
+
+
 def enumerate_words(md: Mapping[int, int]) -> list[MagmaWord]:
     """All words of the given generator multidegree, sorted by word_key.
 

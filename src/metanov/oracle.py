@@ -22,11 +22,18 @@ plus or minus itself, which have the same rows, only the one with the
 smaller shape first is stamped.  Coefficients are ints: each identity is
 scaled to integers over Q and reduced mod p over GF(p).
 
-An identity left with one term, such as (v1v2)(v3v4), kills every word
-with a subtree of that term's shape (pattern leaves match any subtree).
-Dead columns are in no row: the elimination takes them as implicit
-pivots.  The other rows are built on live words only, with terms on dead
-words dropped.
+Dead shapes are derived bottom-up by degree, from the identities alone.
+At degree k a shape is dead if a monomial pattern has an instance in it:
+an identity left with one term, such as (v1v2)(v3v4), or a shape found
+dead below k (pattern leaves match any subtree).  Then, until nothing
+changes, a pattern of degree k with exactly one live term kills that
+term's shape: its row is a unit vector at every s.  A T-ideal is closed
+under substitution and context, so a shape killed at k is a monomial
+pattern above k, in every characteristic and multidegree.  Every word of
+a dead shape is a dead column, in no row; ``RelationMatrix.dead`` holds
+the dead shape ranks, and the elimination takes their columns as
+implicit pivots.  The other rows are built on live words only, with
+terms on dead words dropped.
 
 Presets, in the identity-file grammar of ``exprs`` (each ``= 0``); ``+``
 combines them, as in ``wlc2+flex``:
@@ -61,7 +68,7 @@ from .magma import (
     Atom,
     MagmaPoly,
     MagmaWord,
-    enumerate_words,
+    build_word,
     leaf_sequences,
     leaves,
     poly_multidegree,
@@ -200,11 +207,14 @@ class RelationMatrix:
     ncols: int  # column i is word i of ``enumerate_words(md)``
     rows: list[tuple[tuple[int, int], ...]]  # sparse (col, int coeff), sorted
     field: object
-    dead: frozenset[int] = frozenset()  # columns with an implied unit row each
+    # dead shape ranks: columns rank * nseq .. (rank + 1) * nseq - 1, each
+    # with an implied unit row
+    dead: frozenset[int] = frozenset()
+    nseq: int = 1  # leaf sequences per shape
 
     @property
     def nrows(self) -> int:
-        return len(self.rows) + len(self.dead)
+        return len(self.rows) + len(self.dead) * self.nseq
 
 
 def _normalized(r: dict[int, int], field) -> dict[int, int]:
@@ -285,18 +295,83 @@ def _instance_at(pattern: tuple[int, ...], shape: tuple[int, ...], i: int) -> bo
     return True
 
 
+def _patterns(identities, n: int, live, alive):
+    """Each consequence pattern of degree n: an identity, a live shape per
+    block (``live[k]``: the live shapes of degree k < n) and a live one-hole
+    context.  Yields (hole position h, block width, terms), where terms are
+    the pattern's (full shape, block positions, c) whose full shape is in
+    ``alive``; a term whose shape is dead below n is dead in every context."""
+    members = {k: set(shapes) for k, shapes in live.items()}
+    contexts = {r: [(h, shape[:i], shape[i + 1:]) for shape in live[r + 1]
+                    for h, i in enumerate(i for i, t in enumerate(shape) if not t)]
+                for r in range(n - 1)}
+    for templates, swaps in identities:
+        m = len(templates[0][1])  # >= 2: a multilinear identity in one variable is v1
+        for sizes in itertools.product(range(1, n), repeat=m):
+            width = sum(sizes)
+            if width > n:
+                continue
+            starts = list(itertools.accumulate(sizes, initial=0))
+            term_live = members[width] if width < n else alive
+            for blocks in itertools.product(*(live[k] for k in sizes)):
+                if any(blocks[a] > blocks[b] for a, b, _ in swaps):
+                    continue  # the same rows as its swap
+                terms = []
+                for segs, slots, c in templates:
+                    shape = sum((seg + blocks[k] for seg, k in zip(segs, slots)), ())
+                    if shape in term_live:
+                        terms.append((shape, [i for k in slots
+                                              for i in range(starts[k], starts[k + 1])], c))
+                for h, pre, post in contexts[n - width] if terms else ():
+                    yield h, width, [(full, pos, c) for shape, pos, c in terms
+                                     if (full := pre + shape + post) in alive]
+
+
+def _live_shapes(monomials: list, identities: list, n: int) -> dict[int, list]:
+    """{k: the live shapes of degree k} for k = 1..n, of an identity set
+    given by its single-term ``monomials`` (preorders) and its other
+    ``identities`` (int templates, block swaps).  The field enters only
+    through these: over GF(p) the coefficients are reduced mod p and the
+    swaps decided mod p.
+
+    At each degree k, bottom-up, a shape is dead if a monomial pattern has
+    an instance in it; then, until nothing changes, a consequence pattern
+    of degree k with exactly one live term kills that term's whole shape
+    (its row is a unit vector at every letter sequence s, and s -> s o tau
+    is a bijection).  A T-ideal is closed under substitution and context,
+    so each shape killed at k is a monomial pattern for every higher
+    degree, in every characteristic.  Reads the identities only, never a
+    table.
+    """
+    patterns, live = list(monomials), {}
+    for k in range(1, n + 1):
+        alive = {shape for shape in shape_preorders(k)
+                 if not any(_instance_at(pat, shape, i)
+                            for pat in patterns for i in range(len(shape)))}
+        shapes = [[full for full, _, _ in terms]
+                  for _, _, terms in _patterns(identities, k, live, alive)]
+        dead: set[tuple[int, ...]] = set()
+        while new := {units[0] for terms in shapes
+                      if len(units := [s for s in terms if s not in dead]) == 1}:
+            dead |= new
+        patterns += sorted(dead)
+        live[k] = sorted(alive - dead)
+    return live
+
+
 def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
                   cap: int = DEFAULT_DEGREE_CAP) -> RelationMatrix:
     """All T-ideal consequence rows of ``ids`` in the ``md`` component,
-    stamped from patterns (see the module docstring); column i is word i
-    of ``enumerate_words(md)``.  Dead columns are not in any row."""
+    stamped from patterns on the live shapes (see the module docstring);
+    column i is word i of ``enumerate_words(md)``.  Dead columns are not in
+    any row."""
     n = md_total(md)
     if n > cap:
         raise DegreeCapExceeded(f"degree {n} exceeds cap {cap}")
     if 0 in md:
         raise ValueError("generator index 0 is reserved")
     p = field.char
-    patterns, identities = [], []
+    monomials, identities = [], []
     for f in ids.identities:
         if 0 < p <= max(poly_multidegree(f, "v").values()):
             raise ValueError(f"{ids.name} repeats a variable {p} or more "
@@ -307,26 +382,17 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
             continue
         templates = _templates(lin, _coefficients(lin, field, f, f"of {ids.name}")[0])
         if len(templates) == 1:
-            patterns.append(sum((seg + (0,) for seg in templates[0][0]), ()))
+            monomials.append(sum((seg + (0,) for seg in templates[0][0]), ()))
         elif templates:
             identities.append((templates, _symmetries(templates, p)))
-
-    @functools.cache
-    def dead(shape: tuple[int, ...]) -> bool:
-        return any(_instance_at(pat, shape, i)
-                   for pat in patterns for i in range(len(shape)))
+    live = _live_shapes(monomials, identities, n)
 
     seqs = leaf_sequences(md)
     nseq = len(seqs)
     shapes = shape_preorders(n)
-    offset = {shape: i * nseq for i, shape in enumerate(shapes) if not dead(shape)}
-    dead_cols = frozenset(col for i, shape in enumerate(shapes) if shape not in offset
-                          for col in range(i * nseq, (i + 1) * nseq))
-    live = {k: [s for s in shape_preorders(k) if not dead(s)] for k in range(1, n + 1)}
-    # r context letters -> (hole position h, preorder before the hole, after)
-    contexts = {r: [(h, shape[:i], shape[i + 1:]) for shape in live[r + 1]
-                    for h, i in enumerate(i for i, t in enumerate(shape) if not t)]
-                for r in range(n)}
+    kept = set(live[n])
+    offset = {shape: i * nseq for i, shape in enumerate(shapes) if shape in kept}
+    dead = frozenset(i for i, shape in enumerate(shapes) if shape not in kept)
     seq_rank = {seq: i for i, seq in enumerate(seqs)}
     rows: dict[tuple[tuple[int, int], ...], None] = {}
 
@@ -353,27 +419,11 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
             else:
                 rows[tuple(sorted(zip(cols, norms[cols.index(max(cols))])))] = None
 
-    for templates, swaps in identities:
-        m = len(templates[0][1])
-        for sizes in itertools.product(range(1, n + 1), repeat=m):
-            width = sum(sizes)
-            if width > n:
-                continue
-            starts = list(itertools.accumulate(sizes, initial=0))
-            for blocks in itertools.product(*(live[k] for k in sizes)):
-                if any(blocks[a] > blocks[b] for a, b, _ in swaps):
-                    continue  # the same rows as its swap
-                terms = []
-                for segs, slots, c in templates:
-                    shape = sum((seg + blocks[k] for seg, k in zip(segs, slots)), ())
-                    if not dead(shape):  # a dead term is dead in every context
-                        pos = [i for k in slots for i in range(starts[k], starts[k + 1])]
-                        terms.append((shape, pos, c))
-                for h, pre, post in contexts[n - width] if terms else ():
-                    stamp([(off, (*range(h), *[h + i for i in pos], *range(h + width, n)), c)
-                           for shape, pos, c in terms
-                           if (off := offset.get(pre + shape + post)) is not None])
-    return RelationMatrix(len(shapes) * nseq, list(rows), field, dead_cols)
+    for h, width, terms in _patterns(identities, n, live, offset):
+        if terms:
+            stamp([(offset[full], (*range(h), *[h + i for i in pos], *range(h + width, n)), c)
+                   for full, pos, c in terms])
+    return RelationMatrix(len(shapes) * nseq, list(rows), field, dead, nseq)
 
 
 # -- exact elimination ---------------------------------------------------
@@ -385,51 +435,62 @@ class Echelon:
     Rows are dicts of nonzero entries: integers over Q, combined
     fraction-free, and ints in ``[1, p)`` over GF(p).  Pivots are kept
     ``_normalized``.  Reduction updates one residual dict in place.  The
-    ``dead`` columns are implicit pivots: they count in the rank, and
-    ``reduce`` drops their entries.
+    columns of the ``dead`` shape ranks (``nseq`` columns each) are implicit
+    pivots: they count in the rank, and ``reduce`` drops their entries.
+
+    A residual with two entries also has its tail reduced, down the chain
+    of two-entry pivots below it.  Most relation rows are binomials
+    (e_u - c e_u', u' a permutation of u's leaves), and without this their
+    pivots form chains that later rows walk one step at a time.
     """
 
-    def __init__(self, field, dead: frozenset[int] = frozenset()):
+    def __init__(self, field, dead: frozenset[int] = frozenset(), nseq: int = 1):
         self.field = field
-        self.dead = dead
+        self.dead, self.nseq = dead, nseq
         self.pivots: dict[int, dict[int, object]] = {}
 
     @property
     def rank(self) -> int:
-        return len(self.dead) + len(self.pivots)
+        return len(self.dead) * self.nseq + len(self.pivots)
 
     def reduce(self, row) -> dict[int, object]:
         """Residual of a row (a dict or (col, coeff) pairs) after reduction
         against the current pivots, its entries on dead columns dropped."""
         r = dict(row)
-        for col in self.dead.intersection(r):
-            del r[col]
+        if self.dead:
+            for col in [col for col in r if col // self.nseq in self.dead]:
+                del r[col]
         pivots, p = self.pivots, self.field.char
         while r:
-            lead = max(r)
-            piv = pivots.get(lead)
-            if piv is None:
-                break
-            b = r[lead]
-            if p:  # piv's lead is 1, so r <- r - b*piv cancels the lead
-                for col, c in piv.items():
-                    s = (r.get(col, 0) - b * c) % p
+            col = max(r)
+            piv = pivots.get(col)
+            if piv is None:  # the lead is new: reduce a binomial's tail
+                if len(r) != 2:
+                    break
+                col = min(r)
+                piv = pivots.get(col)
+                if piv is None or len(piv) != 2:
+                    break
+            b = r[col]
+            if p:  # piv's lead is col, with coefficient 1: r <- r - b*piv cancels r[col]
+                for k, c in piv.items():
+                    s = (r.get(k, 0) - b * c) % p
                     if s:
-                        r[col] = s
+                        r[k] = s
                     else:
-                        del r[col]
-            else:  # r <- ma*r - mb*piv cancels the lead
-                g = gcd(piv[lead], b)
-                ma, mb = piv[lead] // g, b // g
+                        del r[k]
+            else:  # r <- ma*r - mb*piv cancels r[col]
+                g = gcd(piv[col], b)
+                ma, mb = piv[col] // g, b // g
                 if ma != 1:
-                    for col in r:
-                        r[col] *= ma
-                for col, c in piv.items():
-                    s = r.get(col, 0) - mb * c
+                    for k in r:
+                        r[k] *= ma
+                for k, c in piv.items():
+                    s = r.get(k, 0) - mb * c
                     if s:
-                        r[col] = s
+                        r[k] = s
                     else:
-                        del r[col]
+                        del r[k]
         return _normalized(r, self.field) if r else r
 
     def add_row(self, row) -> None:
@@ -439,7 +500,7 @@ class Echelon:
 
 
 def _echelon(matrix: RelationMatrix) -> Echelon:
-    ech = Echelon(matrix.field, matrix.dead)
+    ech = Echelon(matrix.field, matrix.dead, matrix.nseq)
     for row in sorted(matrix.rows, key=lambda r: (len(r), r[0][0])):
         if ech.rank == matrix.ncols:
             break
@@ -458,10 +519,14 @@ def quotient_basis(ids: IdentitySet, md: Mapping[int, int], field=QQ,
                    cap: int = DEFAULT_DEGREE_CAP) -> list[MagmaWord]:
     """Words whose classes form a basis of the md-component: the non-pivot
     columns, which (the largest column of a row leading) are the basis picked
-    greedily from the smallest word under ``word_key`` up."""
+    greedily from the smallest word under ``word_key`` up.  Only these words
+    are built."""
     ech = _echelon(relation_rows(ids, md, field, cap))
-    return [w for i, w in enumerate(enumerate_words(md))
-            if i not in ech.pivots and i not in ech.dead]
+    seqs = leaf_sequences(md)
+    nseq = len(seqs)
+    return [build_word(shape, seq)
+            for i, shape in enumerate(shape_preorders(md_total(md))) if i not in ech.dead
+            for j, seq in enumerate(seqs) if i * nseq + j not in ech.pivots]
 
 
 def membership(f: MagmaPoly, ids: IdentitySet, field=None,
@@ -474,6 +539,10 @@ def membership(f: MagmaPoly, ids: IdentitySet, field=None,
         return True
     md = poly_multidegree(MagmaPoly(row, field), "x")
     ech = _echelon(relation_rows(ids, md, field, cap))
-    colindex = {w: i for i, w in enumerate(enumerate_words(md))}
-    return not ech.reduce((colindex[w], c) for w, c in row.items())
+    seqs = leaf_sequences(md)
+    seq_rank = {seq: i for i, seq in enumerate(seqs)}
+    shape_rank = {shape: i for i, shape in enumerate(shape_preorders(md_total(md)))}
+    return not ech.reduce((shape_rank[shape_preorder(w)] * len(seqs)
+                           + seq_rank[tuple(a.index for a in leaves(w))], c)
+                          for w, c in row.items())
 

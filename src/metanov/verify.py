@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import engine, wlc, wn
 from .fields import GF, QQ
-from .magma import MagmaPoly, associator, evaluate, leaf_sequences, shape_preorders, tch, x
+from .magma import MagmaPoly, associator, evaluate, tch, x
 from .multisets import md_from_list, partitions_of
 from .oracle import membership, preset, quotient_dimension
 from .wlc import WlcElement, WlcMonomial, _inversions, _mono, canonicalize_L
@@ -260,18 +260,15 @@ def check_defining_identities_pool_7() -> list[Result]:
 # -- criterion 3: dimension cross-checks --------------------------------
 
 
-def _dimension_checks(label: str, totals, field, max_cols=None) -> list[Result]:
+def _dimension_checks(label: str, totals, field) -> list[Result]:
     """For wnov2 and wlc2: the oracle dimension over ``field`` equals
-    |basis(md)| at every multidegree md of a degree in ``totals`` that has
-    at most ``max_cols`` columns (bracketed words)."""
+    |basis(md)| at every multidegree md of a degree in ``totals``."""
     out: list[Result] = []
     for name, basis in (("wnov2", wn.wn_basis), ("wlc2", wlc.wlc_basis)):
         ok, details = True, []
         for total in totals:
             for part in partitions_of(total):
                 md = md_from_list(part)
-                if max_cols and len(shape_preorders(total)) * len(leaf_sequences(md)) > max_cols:
-                    continue
                 dim = quotient_dimension(preset(name), md, field, cap=total)
                 nb = len(basis(md))
                 ok &= dim == nb
@@ -292,8 +289,8 @@ def check_dimensions(max_total: int = 5) -> list[Result]:
 
 
 def check_dimensions_degree_7() -> list[Result]:
-    """Degree 7 over GF(1009), at the nine multidegrees of <= 27,720 columns."""
-    return _dimension_checks("at degree 7, <= 27,720 columns", [7], GF(1009), max_cols=27720)
+    """Every multidegree of degree 7 over GF(1009)."""
+    return _dimension_checks("at degree 7", [7], GF(1009))
 
 
 def check_dimensions_small_char() -> list[Result]:

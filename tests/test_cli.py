@@ -149,6 +149,17 @@ def test_classify_oracle_field(capsys):
     assert err == "error: modulus 9 is not prime"
 
 
+def test_classify_oracle_confirms_bounds_seven_and_eight(capsys):
+    for expr, bound in (("((((x1*x2)*x3)*x4)*x5)*x6", 7),
+                        ("(((((x1*x2)*x3)*x4)*x5)*x6)*x7", 8)):
+        code, out = run(capsys, "classify", "--oracle-verify", expr)
+        assert code == 0 and f"nilpotency bound: {bound}" in out, out
+        assert "oracle confirmed: True" in out
+    # a degree-8 identity's bound 9 is past the oracle's reach: no verdict
+    code, out = run(capsys, "classify", "--oracle-verify", "((((((x1*x2)*x3)*x4)*x5)*x6)*x7)*x8")
+    assert code == 0 and "nilpotency bound: 9" in out and "oracle confirmed" not in out
+
+
 def test_classify(capsys):
     code, out = run(capsys, "classify", "x1*x2 + 2 x2*x1")
     assert code == 0

@@ -1,8 +1,13 @@
 """T-ideal oracle: linearization, relation rows, dimensions, membership."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,7 @@ from metanov.magma import (
     enumerate_words,
     poly_multidegree,
     poly_variables,
+    shape_preorders,
     v,
     x,
 )
@@ -297,13 +303,40 @@ def test_wnov2_degree_six_multilinear_dimension():
     assert quotient_dimension(preset("wlc2"), md, GF(1009)) == 2232 == len(wlc_basis(md))
 
 
+# One degree-8 query; prints [dimension, seconds, peak RSS in MiB].  Its
+# address space is capped at 1 GiB, so that a regression fails with a
+# MemoryError instead of taking the host's memory.
+_DEGREE_EIGHT = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from metanov import preset, quotient_dimension
+from metanov.fields import GF
+t = time.perf_counter()
+dim = quotient_dimension(preset(sys.argv[1]), {i: 1 for i in range(1, 9)}, GF(1009), cap=8)
+print(json.dumps([dim, time.perf_counter() - t,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]))
+"""
+
+
+@pytest.mark.parametrize("name, basis, want", [("wnov2", wn_basis, 8),
+                                               ("wlc2", wlc_basis, 125_120)])
+def test_degree_eight_multilinear_dimension(name, basis, want):
+    # in a fresh process, so that the peak memory is this query's alone
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _DEGREE_EIGHT, name], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    dim, seconds, peak_mib = json.loads(proc.stdout)
+    assert dim == want == len(basis({i: 1 for i in range(1, 9)}))
+    assert seconds <= 10 and peak_mib <= 500, (seconds, peak_mib)
+
+
 def test_elimination_row_order_keeps_fill_in_low():
     # the rank does not depend on the order rows are fed in, but the work
     # does: short rows first, ties by smallest column, gives 6020 pivot
     # entries here; by largest column 6056, by length alone or unsorted
-    # 13594.  rs+wn has no single-word identity, so no unit rows pad the
-    # count (under wnov2's metabelian filter every sorted order lands near
-    # 2,710-2,760 entries at 1^5).
+    # 13594.  rs+wn has no single-word identity, so no shape dies and
+    # every consequence row is fed (under wnov2 few rows are left to order).
     matrix = relation_rows(preset("rs+wn"), {i: 1 for i in range(1, 6)}, GF(1009))
     ech = _echelon(matrix)
     assert ech.rank == matrix.ncols - 185
@@ -396,27 +429,48 @@ def _right_normed_dead(w):
     return _right_normed_dead(w.left) or _right_normed_dead(w.right)
 
 
+def _dead_columns(matrix):
+    """The columns of ``matrix``'s dead shape ranks."""
+    return {col for rank in matrix.dead
+            for col in range(rank * matrix.nseq, (rank + 1) * matrix.nseq)}
+
+
+def _unit_propagated(rows):
+    """Row-level unit propagation: a row with one entry off the killed
+    columns kills that column, until no row does."""
+    dead = set()
+    while new := {live[0] for row in rows
+                  if len(live := [col for col, _ in row if col not in dead]) == 1}:
+        dead |= new
+    return dead
+
+
 def _check_against_reference(ids, md, field, dead_word=lambda w: False):
     """``relation_rows`` against the word-tree reference: its dead columns
-    are the words ``dead_word`` marks, and no row touches one; without dead
-    columns its rows are the reference's; in every case the row spaces, the
-    dead columns taken as unit rows, contain each other, and the dead and
-    pivot columns are the reference echelon's leading columns."""
+    contain the words ``dead_word`` marks and lie in those that row-level
+    unit propagation kills (all of them while no letter repeats three
+    times), and no row touches one; without dead columns its rows are the
+    reference's; in every case the row spaces, the dead columns taken as
+    unit rows, contain each other, and the dead and pivot columns are the
+    reference echelon's leading columns."""
     matrix = relation_rows(ids, md, field)
     words, rows = _reference_rows(ids, md, field)
     case = (ids.name, md, field)
-    assert matrix.ncols == len(words)
-    assert matrix.dead == {i for i, w in enumerate(words) if dead_word(w)}, case
-    assert not any(col in matrix.dead for row in matrix.rows for col, _ in row), case
+    dead = _dead_columns(matrix)
+    assert matrix.ncols == len(words) == len(shape_preorders(md_total(md))) * matrix.nseq
+    assert dead >= {i for i, w in enumerate(words) if dead_word(w)}, case
+    propagated = _unit_propagated(rows)
+    assert dead == propagated if max(md.values()) <= 2 else dead <= propagated, case
+    assert not any(col in dead for row in matrix.rows for col, _ in row), case
     if not matrix.dead:
         assert sorted(matrix.rows) == sorted(rows), case
     ech = _echelon(matrix)
     ref = _echelon(RelationMatrix(len(words), rows, field))
     assert all(not ech.reduce(row) for row in rows), case  # dead entries dropped
     assert all(not ref.reduce(row) for row in matrix.rows), case
-    assert all(not ref.reduce({col: 1}) for col in matrix.dead), case
-    assert ech.pivots.keys() | matrix.dead == ref.pivots.keys(), case
-    assert ech.rank == ref.rank and matrix.nrows == len(matrix.rows) + len(matrix.dead), case
+    assert all(not ref.reduce({col: 1}) for col in dead), case
+    assert ech.pivots.keys() | dead == ref.pivots.keys(), case
+    assert ech.rank == ref.rank and matrix.nrows == len(matrix.rows) + len(dead), case
 
 
 def test_relation_rows_match_word_tree_reference():
@@ -443,14 +497,37 @@ def test_relation_rows_match_word_tree_reference():
             _check_against_reference(ids, md, field, _metabelian_dead)
 
 
+@pytest.mark.parametrize("name", ["wnov2", "wlc2", "nov2", "wlc2+flex"])
+def test_derived_dead_shapes_match_row_level_unit_propagation(name):
+    # the shapes relation_rows derives bottom-up against unit propagation on
+    # the word-tree rows of the component alone: equal while no letter
+    # repeats three times; past that, terms on one shape can meet in a
+    # column and leave a unit row on single columns, which a shape-level
+    # derivation does not kill
+    ids = preset(name)
+    for part in (part for total in range(1, 6) for part in partitions_of(total)):
+        md = md_from_list(part)
+        for field in (QQ, GF(3), GF(1009)):
+            dead = _dead_columns(relation_rows(ids, md, field))
+            propagated = _unit_propagated(_reference_rows(ids, md, field)[1])
+            if max(part) <= 2:
+                assert dead == propagated, (name, part, field)
+            else:
+                assert dead <= propagated, (name, part, field)
+
+
 def test_metabelian_live_shapes():
     # 2^(n-2) of the Catalan(n-1) shapes have no node with two factors of
     # degree >= 2; every other word is a dead column, and met has no rows
     for n in range(2, 9):
         matrix = relation_rows(preset("met"), {1: n}, cap=8)
-        assert matrix.rows == []
-        assert matrix.ncols - len(matrix.dead) == 2 ** (n - 2)
+        assert matrix.rows == [] and matrix.nseq == 1
+        assert len(shape_preorders(n)) - len(matrix.dead) == 2 ** (n - 2)
         assert _echelon(matrix).rank == len(matrix.dead) == matrix.nrows
+    # dead is a set of shape ranks, each standing for nseq columns
+    matrix = relation_rows(preset("met"), {1: 2, 2: 2, 3: 1})
+    assert matrix.nseq == 30 and len(matrix.dead) == 14 - 8
+    assert _echelon(matrix).rank == matrix.nrows == 6 * 30
     for ids, md in ((preset("met"), {1: 2, 2: 2, 3: 1}), (preset("wnov2"), {1: 2, 2: 1, 3: 1}),
                     (preset("wnov2"), {1: 1, 2: 1, 3: 1, 4: 1})):
         for field in (QQ, GF(1009)):
@@ -547,12 +624,13 @@ def _basis_counts(parts, basis):
 
 
 def test_verify_degree_seven_dimensions():
-    # every degree-7 multidegree with at most 27,720 = 132 * 210 columns
-    nine = [(7,), (6, 1), (5, 2), (5, 1, 1), (4, 3), (4, 2, 1), (4, 1, 1, 1), (3, 3, 1), (3, 2, 2)]
+    # all 15 multidegrees of degree 7, 1^7 (665,280 columns) included
+    parts = list(partitions_of(7))
+    assert len(parts) == 15
     results = check_dimensions_degree_7()
     assert len(results) == 2
     for (name, ok, detail), basis in zip(results, (wn_basis, wlc_basis)):
-        assert ok and detail == f"[GF(1009)] {_basis_counts(nine, basis)}", (name, detail)
+        assert ok and detail == f"[GF(1009)] {_basis_counts(parts, basis)}", (name, detail)
 
 
 def test_verify_small_characteristic_dimensions():
