@@ -7,7 +7,8 @@ The substitution sweep of ``check_identity`` is compiled once per call:
 every distinct subword of the identity becomes an evaluator with an int
 id, its children's evaluators and the tuple of variable slots it
 contains, and every basis element met gets an int id, so a memo key is a
-tuple of ints and no ``Node`` is hashed in the sweep.  Values are
+tuple of ints and no ``Node`` is hashed in the sweep.  The domain is
+built only from the sorted letter multisets the sweep reaches.  Values are
 ``{element id: int}`` dicts: both tables have integer structure
 constants, so the sweep is exact over Z, with the identity's
 coefficients cleared of denominators over Q and reduced mod p over
@@ -19,6 +20,7 @@ relabeling, the precondition that ``verify.check_relabeling`` checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -118,7 +120,9 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
     above 1 + every letter before it) are evaluated: both tables commute
     with relabeling (``verify.check_relabeling``), and relabeling by first
     appearance gives such an assignment, in the same block, no later in
-    product order and zero exactly when the original is.
+    product order and zero exactly when the original is.  A slot's elements
+    are built per sorted letter multiset that can continue such a string,
+    one ``alg.basis`` call each, so no letter past x<max_degree> is built.
     ``ValueError`` is raised for an identity whose ``poly_multidegree(f,
     "v")`` is not all ones, for a coefficient whose denominator vanishes
     mod p over GF(p), and for a sweep with no assignment in it (``pool <
@@ -139,23 +143,28 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
                          f"{m} variables: there is no assignment to check")
     slot = {var: i for i, var in enumerate(vs)}
     domain = (f"basis elements over x1..x{pool}, result degree <= {max_degree}")
-    by_deg = basis_elements_by_degree(alg, max_degree - (m - 1), pool)
-    keys = [k for d in sorted(by_deg) for k in by_deg[d]]
-    key_id = {k: i for i, k in enumerate(keys)}
-    unit = [{i: 1} for i in range(len(keys))]
-    # groups: by_deg's runs of one sorted letter multiset t; grows[d, hi]: the
-    # runs a restricted-growth string with largest letter hi may take next
-    groups = {d: [(t, [key_id[k] for k in ks]) for t, ks in itertools.groupby(
-        by_deg[d], lambda k: tuple(sorted(alg.letters(k))))] for d in by_deg}
-    grows = {(d, hi): [(ks, max(hi, t[-1])) for t, ks in groups[d]
-                       if all(b <= max(hi, a) + 1 for a, b in zip((hi,) + t, t))]
-             for d in groups for hi in range(pool + 1)}
+    keys: list = []
+    key_id: dict = {}
+    unit: list[dict[int, int]] = []
 
     def intern(k) -> int:
         if k not in key_id:
             key_id[k] = len(keys)
+            unit.append({len(keys): 1})
             keys.append(k)
         return key_id[k]
+
+    @functools.cache
+    def basis_ids(t: tuple[int, ...]) -> list[int]:
+        return [intern(k) for k in alg.basis(Counter(t))]
+
+    @functools.cache
+    def grow(d: int, hi: int) -> list:
+        """(key ids, new largest letter) of each sorted letter multiset of size
+        d, in lexicographic order, that may continue a string of largest letter hi."""
+        return [(basis_ids(t), max(hi, t[-1])) for t in
+                itertools.combinations_with_replacement(range(1, min(pool, hi + d) + 1), d)
+                if all(b <= max(hi, a) + 1 for a, b in zip((hi,) + t, t))]
 
     cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
@@ -207,7 +216,8 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
         return lambda combo, c, total: (l := left(combo)) and mul(l, right(combo), c, total)
 
     terms = [(w, term(w), c) for w, c in zip(f.terms, coeffs) if c]
-    deg_choices = sorted((degs for degs in itertools.product(sorted(by_deg), repeat=m)
+    degrees = range(1, max_degree - (m - 1) + 1)
+    deg_choices = sorted((degs for degs in itertools.product(degrees, repeat=m)
                           if sum(degs) <= max_degree and sum(d >= 2 for d in degs) <= 1),
                          key=lambda t: (sum(t), t))
     for degs in deg_choices:
@@ -219,7 +229,7 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
         combos = [((), 0)]
         for d in degs:
             combos = [(combo + (k,), h) for combo, hi in combos
-                      for ks, h in grows[d, hi] for k in ks]
+                      for ks, h in grow(d, hi) for k in ks]
         for combo, _ in combos:
             total: dict[int, int] = {}
             for add, c in live:

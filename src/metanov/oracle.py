@@ -454,12 +454,20 @@ class Echelon:
         return len(self.dead) * self.nseq + len(self.pivots)
 
     def reduce(self, row) -> dict[int, object]:
-        """Residual of a row (a dict or (col, coeff) pairs) after reduction
+        """Residual of a vector (a dict or (col, coeff) pairs) after reduction
         against the current pivots, its entries on dead columns dropped."""
-        r = dict(row)
-        if self.dead:
-            for col in [col for col in r if col // self.nseq in self.dead]:
-                del r[col]
+        return self._residual({col: c for col, c in dict(row).items()
+                               if col // self.nseq not in self.dead})
+
+    def add_row(self, row) -> None:
+        """Add a relation row.  Rows are stamped on live shapes only, so no
+        entry lies on a dead column and ``reduce``'s filter is skipped."""
+        r = self._residual(dict(row))
+        if r:
+            self.pivots[max(r)] = r
+
+    def _residual(self, r: dict) -> dict[int, object]:
+        """Reduce r in place against the current pivots; return it normalized."""
         pivots, p = self.pivots, self.field.char
         while r:
             col = max(r)
@@ -493,16 +501,12 @@ class Echelon:
                         del r[k]
         return _normalized(r, self.field) if r else r
 
-    def add_row(self, row) -> None:
-        r = self.reduce(row)
-        if r:
-            self.pivots[max(r)] = r
-
 
 def _echelon(matrix: RelationMatrix) -> Echelon:
     ech = Echelon(matrix.field, matrix.dead, matrix.nseq)
+    live_cols = matrix.ncols - len(matrix.dead) * matrix.nseq
     for row in sorted(matrix.rows, key=lambda r: (len(r), r[0][0])):
-        if ech.rank == matrix.ncols:
+        if len(ech.pivots) == live_cols:
             break
         ech.add_row(row)
     return ech

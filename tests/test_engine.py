@@ -1,6 +1,8 @@
 """Identity checking, nilpotency indices, and classification."""
 
+import dataclasses
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -14,7 +16,7 @@ from metanov import (
     parse_identity,
     preset,
 )
-from metanov import verify, wlc, wn
+from metanov import engine, verify, wlc, wn
 from metanov.engine import _term_degree, basis_elements_by_degree, get_algebra, gens_to_vars
 from metanov.fields import GF, QQ
 from metanov.magma import Atom, evaluate, leaves, poly_variables, x
@@ -228,6 +230,41 @@ def test_reduced_sweep_does_not_grow_with_the_pool(monkeypatch):
             assert check_identity(alg, f, max_degree=5, pool=pool).holds
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0, (alg, counts)
+
+
+def test_sweep_builds_only_reachable_letter_multisets(monkeypatch):
+    # the domain is built per sorted letter multiset t that a restricted-growth
+    # string can reach: t[0] <= hi + 1 and t[i] <= max(hi, t[i-1]) + 1, where
+    # hi, the largest letter of the slots before, is at most their letter
+    # count, max_degree - len(t); so the pool past that adds no multiset
+    requested = []
+    for name, alg in list(engine._ALGEBRAS.items()):
+        def basis(md, fn=alg.basis):
+            requested.append(tuple(sorted(Counter(md).elements())))
+            return fn(md)
+        monkeypatch.setitem(engine._ALGEBRAS, name, dataclasses.replace(alg, basis=basis))
+    for alg, f in (("wnov", preset("wn").identities[0]),
+                   ("wlc", preset("wn").identities[0]), ("wnov", preset("rs").identities[0])):
+        seen = []
+        for pool in (5, 7):
+            requested.clear()
+            assert check_identity(alg, f, max_degree=5, pool=pool).holds
+            assert len(requested) == len(set(requested)), (alg, pool)
+            seen.append(sorted(requested))
+        assert seen[0] == seen[1], alg
+        for t in seen[0]:
+            hi = 5 - len(t)
+            assert all(b <= max(hi, a) + 1 for a, b in zip((hi,) + t, t)), (alg, t)
+
+
+def test_sweep_witnesses_at_the_benchmark_setting():
+    # the two counterexample cases of criterion 2 at the table_sweep
+    # workload's degree and pool, against the full-product reference
+    for name in ("lc", "rs"):
+        f = preset(name).identities[0]
+        rep = check_identity("wlc", f, max_degree=6, pool=5)
+        assert (rep.verdict, rep.assignment, rep.value) == _reference_check("wlc", f, 6, 5, QQ)
+        assert not rep.holds
 
 
 def test_relabeling_check_passes():
