@@ -13,7 +13,10 @@ built only from the sorted letter multisets the sweep reaches.  Values are
 constants, so the sweep is exact over Z, with the identity's
 coefficients cleared of denominators over Q and reduced mod p over
 GF(p).  Products of two basis elements come from the element type's
-basis product over Q and are cached for one call.  The sweep covers one
+basis product over Q and are cached for one call.  The evaluators hold no
+reference cycle, so a call's memo, product cache and key table are freed
+by reference counting when it returns, not left to the cyclic garbage
+collector.  The sweep covers one
 assignment per relabeling class of x1..x<pool>: both tables commute with
 relabeling, the precondition that ``verify.check_relabeling`` checks.
 """
@@ -46,13 +49,11 @@ class TableAlgebra:
     name: str
     element: type  # its LinComb subclass: key order, gen and basis product
     basis: object  # multidegree -> sorted basis keys
-    letters: object  # basis key -> its generator indices
 
 
 _ALGEBRAS = {
-    "wlc": TableAlgebra("wlc", wlc.WlcElement, wlc.wlc_basis,
-                        lambda m: (m.base, *m.lpart, *m.rpart)),
-    "wnov": TableAlgebra("wnov", wn.WnElement, wn.wn_basis, lambda e: e.args),
+    "wlc": TableAlgebra("wlc", wlc.WlcElement, wlc.wlc_basis),
+    "wnov": TableAlgebra("wnov", wn.WnElement, wn.wn_basis),
 }
 
 
@@ -216,6 +217,7 @@ def check_identity(algebra: str, f: MagmaPoly, max_degree: int = 7,
         return lambda combo, c, total: (l := left(combo)) and mul(l, right(combo), c, total)
 
     terms = [(w, term(w), c) for w, c in zip(f.terms, coeffs) if c]
+    del compile_  # a recursive closure is a reference cycle: free it by refcount
     degrees = range(1, max_degree - (m - 1) + 1)
     deg_choices = sorted((degs for degs in itertools.product(degrees, repeat=m)
                           if sum(degs) <= max_degree and sum(d >= 2 for d in degs) <= 1),

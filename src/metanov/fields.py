@@ -1,7 +1,9 @@
 """Exact scalar fields: the rationals and prime fields of odd characteristic.
 
 Every coefficient in the package is either a ``Fraction`` (over Q) or an
-int in ``[0, p)`` (over GF(p)).  Floating point is never used.
+int in ``[0, p)`` (over GF(p)).  Floating point is never used.  A field's
+``zero`` and ``one`` are plain class constants, shared by every element
+that holds them: both scalar types are immutable.
 """
 
 from __future__ import annotations
@@ -25,17 +27,11 @@ class Rationals:
     """The field Q, with exact ``Fraction`` arithmetic."""
 
     char = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def __repr__(self) -> str:
         return "Q"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def coerce(self, x):
         return Fraction(x)
@@ -63,6 +59,9 @@ class PrimeField:
     live over fields of characteristic distinct from 2).
     """
 
+    zero = 0
+    one = 1
+
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
@@ -73,14 +72,6 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"GF({self.p})"
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
 
     def coerce(self, x) -> int:
         if isinstance(x, Fraction):

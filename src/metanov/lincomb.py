@@ -3,6 +3,13 @@
 Magma polynomials and the normal-form elements of both table algebras are
 ``LinComb`` subclasses.  A subclass gives only its key order and its basis
 product; the linear structure and the bilinear product live here.
+
+Coefficients are checked and coerced once, where they enter: by
+``LinComb(terms, field)`` for arbitrary scalars, and by ``from_ints`` for
+the (int coefficient, key) pairs of a table row, which both multiplication
+tables build their products from.  Every other constructor (``basis``,
+``zero``, and the arithmetic through ``_of``) takes coefficients already in
+the field, and shares the field's ``zero`` and ``one`` constants.
 """
 
 from __future__ import annotations
@@ -50,16 +57,32 @@ class LinComb:
 
     @classmethod
     def zero(cls, field=QQ):
-        return cls({}, field)
+        return cls._of({}, field)
 
     @classmethod
     def basis(cls, key, field=QQ):
-        return cls({key: field.one}, field)
+        return cls._of({key: field.one}, field)
+
+    @classmethod
+    def from_ints(cls, pairs, field=QQ):
+        """The sum of c * key over (int c, key) pairs.
+
+        Repeated keys are added up as ints, each sum is coerced into
+        ``field`` once, and a sum that vanishes there is dropped.  Keys keep
+        the order of their first pair.
+        """
+        sums: dict = {}
+        for c, k in pairs:
+            sums[k] = sums.get(k, 0) + c
+        coerce, zero = field.coerce, field.zero
+        return cls._of({k: x for k, s in sums.items() if (x := coerce(s)) != zero},
+                       field)
 
     @classmethod
     def _of(cls, terms: dict, field):
         """The element with these terms, already nonzero and in ``field``."""
-        res = cls.zero(field)
+        res = cls.__new__(cls)
+        res.field = field
         res.terms = terms
         return res
 

@@ -184,16 +184,19 @@ def evaluate(f: MagmaPoly, element: type[LinComb], leaf=None) -> LinComb:
                 raise ValueError(f"cannot evaluate formal variable {a!r}")
             return element.gen(a.index, field)
 
-    def value(w: MagmaWord):
-        if isinstance(w, Atom):
-            return leaf(w)
-        l = value(w.left)
-        return l if l.is_zero() else l * value(w.right)
-
     out: dict = {}
     for w, c in f.terms.items():
-        add_scaled(out, value(w).terms, c, field)
+        add_scaled(out, _value(w, leaf).terms, c, field)
     return element._of(out, field)
+
+
+def _value(w: MagmaWord, leaf):
+    """The value of one word in ``evaluate``; a module function, not a
+    recursive closure, so that a call leaves no reference cycle behind."""
+    if isinstance(w, Atom):
+        return leaf(w)
+    l = _value(w.left, leaf)
+    return l if l.is_zero() else l * _value(w.right, leaf)
 
 
 def substitute(f: MagmaPoly, assignment: Mapping[int, MagmaPoly]) -> MagmaPoly:

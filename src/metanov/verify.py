@@ -18,7 +18,7 @@ from .oracle import membership, preset, quotient_dimension
 from .wlc import WlcElement, WlcMonomial, _inversions, _mono, canonicalize_L
 from .wn import (
     ASSOC, GEN, LPROD, MIDASSOC, PAIR, RWORD, TEICH,
-    WnBasisElement, WnElement, _lin, canonicalize, wn_mul,
+    WnBasisElement, WnElement, canonicalize, wn_mul,
 )
 
 Result = tuple[str, bool, str]
@@ -37,47 +37,44 @@ def check_wn_table(pool: int = 5, field=QQ) -> list[Result]:
     for q, a, b, c in itertools.product(idx, repeat=4):
         # left actions of the generator q
         if wn_mul(WnBasisElement(GEN, (q,)), WnBasisElement(GEN, (a,)), field) != \
-                _lin(field, (1, WnBasisElement(PAIR, (q, a)))):
+                WnElement.basis(WnBasisElement(PAIR, (q, a)), field):
             ok_left = False
         if wn_mul(WnBasisElement(GEN, (q,)), WnBasisElement(PAIR, (a, b)), field) != \
-                _lin(field, (1, WnBasisElement(LPROD, (q, a, b)))):
+                WnElement.basis(WnBasisElement(LPROD, (q, a, b)), field):
             ok_left = False
         got = wn_mul(WnBasisElement(GEN, (q,)), WnBasisElement(LPROD, (a, b, c)), field)
-        if got != _lin(field, (-1, canonicalize(MIDASSOC, (q, b, a, c)))):
+        if got != WnElement.from_ints([(-1, canonicalize(MIDASSOC, (q, b, a, c)))], field):
             ok_left = False
         t1, t2 = sorted((b, c))
         got = wn_mul(WnBasisElement(GEN, (q,)), canonicalize(ASSOC, (a, t1, t2)), field)
-        if got != _lin(field, (1, canonicalize(MIDASSOC, (a, q, t1, t2)))):
+        if got != WnElement.basis(canonicalize(MIDASSOC, (a, q, t1, t2)), field):
             ok_left = False
 
         # right actions of the generator q (acting on elements over a,b,c)
         y = q
         if wn_mul(WnBasisElement(PAIR, (a, b)), WnBasisElement(GEN, (y,)), field) != \
-                _lin(field,
-                     (1, canonicalize(ASSOC, (a, b, y))),
-                     (1, WnBasisElement(LPROD, (a, b, y)))):
+                WnElement.from_ints([(1, canonicalize(ASSOC, (a, b, y))),
+                                     (1, WnBasisElement(LPROD, (a, b, y)))], field):
             ok_right = False
         got = wn_mul(WnBasisElement(LPROD, (a, b, c)), WnBasisElement(GEN, (y,)), field)
-        want = _lin(field,
-                    (1, canonicalize(MIDASSOC, (a, b, c, y))),
-                    (-1, canonicalize(MIDASSOC, (a, c, b, y))),
-                    (1, canonicalize(MIDASSOC, (b, a, c, y))))
+        want = WnElement.from_ints([(1, canonicalize(MIDASSOC, (a, b, c, y))),
+                                    (-1, canonicalize(MIDASSOC, (a, c, b, y))),
+                                    (1, canonicalize(MIDASSOC, (b, a, c, y)))], field)
         if got != want:
             ok_right = False
         got = wn_mul(canonicalize(ASSOC, (a, t1, t2)), WnBasisElement(GEN, (y,)), field)
-        want = _lin(field,
-                    (1, canonicalize(TEICH, (a, t1, t2, y))),
-                    (1, canonicalize(MIDASSOC, (a, t1, t2, y))),
-                    (1, canonicalize(MIDASSOC, (a, t2, t1, y))))
+        want = WnElement.from_ints([(1, canonicalize(TEICH, (a, t1, t2, y))),
+                                    (1, canonicalize(MIDASSOC, (a, t1, t2, y))),
+                                    (1, canonicalize(MIDASSOC, (a, t2, t1, y)))], field)
         if got != want:
             ok_right = False
         tch_elem = canonicalize(TEICH, (a, b, c, t1))
         got = wn_mul(tch_elem, WnBasisElement(GEN, (y,)), field)
-        if got != _lin(field, (1, canonicalize(RWORD, tch_elem.args + (y,)))):
+        if got != WnElement.basis(canonicalize(RWORD, tch_elem.args + (y,)), field):
             ok_right = False
         rw = canonicalize(RWORD, (a, b, c, t1, t2))
         if wn_mul(rw, WnBasisElement(GEN, (y,)), field) != \
-                _lin(field, (1, canonicalize(RWORD, rw.args + (y,)))):
+                WnElement.basis(canonicalize(RWORD, rw.args + (y,)), field):
             ok_right = False
 
         # annihilator and metabelian nulls

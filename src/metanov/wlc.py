@@ -102,7 +102,6 @@ def wlc_mul(a: WlcMonomial, b: WlcMonomial, field=QQ) -> WlcElement:
     of two factors of degree >= 2.
     """
     da, db = a.degree, b.degree
-    one = field.one
     if da == 1 and db == 1:
         # x_j * x_i = x_i L_{x_j}
         return WlcElement.basis(_mono(b.base, (a.base,), ()), field)
@@ -121,10 +120,8 @@ def wlc_mul(a: WlcMonomial, b: WlcMonomial, field=QQ) -> WlcElement:
             # x_q * (x_i L_j R_k) = x_k L_i L_j L_q - x_k L_q L_i L_j
             q, (i,), (k,) = a.base, b.lpart, b.rpart
             i0 = b.base
-            m1 = _mono(k, (i0, i, q), ())
-            m2 = _mono(k, (q, i0, i), ())
-            out = WlcElement({m1: one}, field) - WlcElement({m2: one}, field)
-            return out
+            return WlcElement.from_ints(((1, _mono(k, (i0, i, q), ())),
+                                         (-1, _mono(k, (q, i0, i), ()))), field)
         return WlcElement.zero(field)
     return WlcElement.zero(field)
 

@@ -115,17 +115,6 @@ class WnElement(LinComb):
         return cls.basis(WnBasisElement(GEN, (i,)), field)
 
 
-def _lin(field, *pairs) -> WnElement:
-    out: dict[WnBasisElement, object] = {}
-    for coeff, elem in pairs:
-        c = field.add(out.get(elem, field.zero), field.coerce(coeff))
-        if c == field.zero:
-            out.pop(elem, None)
-        else:
-            out[elem] = c
-    return WnElement(out, field)
-
-
 def wn_mul(a: WnBasisElement, b: WnBasisElement, field=QQ) -> WnElement:
     """Product of two basis elements.
 
@@ -143,40 +132,38 @@ def wn_mul(a: WnBasisElement, b: WnBasisElement, field=QQ) -> WnElement:
         if b.kind == LPROD:
             # q * x(yz) = -(q, y*x, z)
             x_, y, z = b.args
-            return _lin(field, (-1, canonicalize(MIDASSOC, (q, y, x_, z))))
+            return WnElement.from_ints(((-1, canonicalize(MIDASSOC, (q, y, x_, z))),),
+                                       field)
         if b.kind == ASSOC:
             # q * (x,t1,t2) = (x, q*t1, t2)
             x_, t1, t2 = b.args
-            return _lin(field, (1, canonicalize(MIDASSOC, (x_, q, t1, t2))))
+            return WnElement.basis(canonicalize(MIDASSOC, (x_, q, t1, t2)), field)
         return WnElement.zero(field)
     if b.kind == GEN:
         y = b.args[0]
         if a.kind == PAIR:
             # xz * y = (x,z,y) + x(zy)
             x_, z = a.args
-            return _lin(
-                field,
+            return WnElement.from_ints((
                 (1, canonicalize(ASSOC, (x_, z, y))),
                 (1, WnBasisElement(LPROD, (x_, z, y))),
-            )
+            ), field)
         if a.kind == LPROD:
             # x(zt) * y = (x,[z,t],y) + (z, x*t, y)
             x_, z, t = a.args
-            return _lin(
-                field,
+            return WnElement.from_ints((
                 (1, canonicalize(MIDASSOC, (x_, z, t, y))),
                 (-1, canonicalize(MIDASSOC, (x_, t, z, y))),
                 (1, canonicalize(MIDASSOC, (z, x_, t, y))),
-            )
+            ), field)
         if a.kind == ASSOC:
             # (x,t1,t2) * y = Tch(x,t1,t2,y) + (x, t1 o t2, y)
             x_, t1, t2 = a.args
-            return _lin(
-                field,
+            return WnElement.from_ints((
                 (1, canonicalize(TEICH, (x_, t1, t2, y))),
                 (1, canonicalize(MIDASSOC, (x_, t1, t2, y))),
                 (1, canonicalize(MIDASSOC, (x_, t2, t1, y))),
-            )
+            ), field)
         if a.kind in (TEICH, RWORD):
             # Tch(x,t1,t2,t3) * y and R-words * y append R_y
             return WnElement.basis(canonicalize(RWORD, a.args + (y,)), field)
