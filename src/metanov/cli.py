@@ -170,12 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand.  Errors in the input (bad expressions, fields,
-    identities or degrees) exit with status 2 and one ``error:`` line on
-    stderr, as argparse does for bad arguments."""
+    identities or degrees, unreadable identity files) exit with status 2
+    and one ``error:`` line on stderr, as argparse does for bad arguments."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
 

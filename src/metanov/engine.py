@@ -46,14 +46,13 @@ from .oracle import (
 
 @dataclass(frozen=True)
 class TableAlgebra:
-    name: str
     element: type  # its LinComb subclass: key order, gen and basis product
     basis: object  # multidegree -> sorted basis keys
 
 
 _ALGEBRAS = {
-    "wlc": TableAlgebra("wlc", wlc.WlcElement, wlc.wlc_basis),
-    "wnov": TableAlgebra("wnov", wn.WnElement, wn.wn_basis),
+    "wlc": TableAlgebra(wlc.WlcElement, wlc.wlc_basis),
+    "wnov": TableAlgebra(wn.WnElement, wn.wn_basis),
 }
 
 

@@ -202,32 +202,23 @@ def _value(w: MagmaWord, leaf):
 def substitute(f: MagmaPoly, assignment: Mapping[int, MagmaPoly]) -> MagmaPoly:
     """Simultaneously substitute polynomials for the formal variables of f.
 
-    Every ``v<k>`` occurring in f must be assigned; generators pass through.
+    Generators pass through.  A formal variable whose value is read must
+    be assigned; as in ``evaluate``, a product with a zero left factor does
+    not read its right one.
     """
     field = f.field
-    missing = set(poly_variables(f)) - set(assignment)
-    if missing:
-        raise ValueError(f"unassigned variable v{min(missing)}")
 
     def leaf(a: Atom) -> MagmaPoly:
         if a.kind == "x":
             return MagmaPoly.basis(a, field)
-        g = assignment[a.index]
+        g = assignment.get(a.index)
+        if g is None:
+            raise ValueError(f"unassigned variable v{a.index}")
         if g.field != field:
             raise ValueError("field mismatch in substitution")
         return g
 
     return evaluate(f, MagmaPoly, leaf)
-
-
-def poly_variables(f: MagmaPoly) -> tuple[int, ...]:
-    """Sorted indices of the formal variables occurring in f."""
-    vs: set[int] = set()
-    for w in f.terms:
-        for a in leaves(w):
-            if a.kind == "v":
-                vs.add(a.index)
-    return tuple(sorted(vs))
 
 
 # -- word enumeration ------------------------------------------------

@@ -16,11 +16,9 @@ block, and a one-hole context shape with its hole position) read at a
 letter sequence s (the context's letters left of the hole, each block's,
 then the rest) is a consequence.  Each live term of a pattern is a column
 offset and the map tau of positions that takes s to the term's leaf
-sequence, so one rank table per tau stamps the pattern at every s.  Of two
-patterns swapped by a transposition of blocks that maps the identity to
-plus or minus itself, which have the same rows, only the one with the
-smaller shape first is stamped.  Coefficients are ints: each identity is
-scaled to integers over Q and reduced mod p over GF(p).
+sequence, so one rank table per tau stamps the pattern at every s.
+Coefficients are ints: each identity is scaled to integers over Q and
+reduced mod p over GF(p).
 
 Dead shapes are derived bottom-up by degree, from the identities alone.
 At degree k a shape is dead if a monomial pattern has an instance in it:
@@ -72,7 +70,6 @@ from .magma import (
     leaf_sequences,
     leaves,
     poly_multidegree,
-    poly_variables,
     shape_preorder,
     shape_preorders,
     substitute,
@@ -265,20 +262,6 @@ def _templates(lin: MagmaPoly, coeffs: list[int]) -> list[tuple]:
     return out
 
 
-def _symmetries(templates, p: int) -> list[tuple[int, int, int]]:
-    """(a, b, sign) for each transposition a < b of the blocks that maps the
-    identity to sign times itself, its int coefficients compared mod p over
-    GF(p)."""
-    terms = {(segs, slots): c for segs, slots, c in templates}
-    out = []
-    for a, b in itertools.combinations(range(len(templates[0][1])), 2):
-        image = {(segs, tuple(b if k == a else a if k == b else k for k in slots)): c
-                 for (segs, slots), c in terms.items()}
-        out += [(a, b, sign) for sign in (1, -1)
-                if image == {key: sign * c % p if p else sign * c for key, c in terms.items()}]
-    return out
-
-
 def _instance_at(pattern: tuple[int, ...], shape: tuple[int, ...], i: int) -> bool:
     """Whether the subtree of ``shape`` at preorder position i is an instance
     of ``pattern``, a leaf of which matches any subtree."""
@@ -305,7 +288,7 @@ def _patterns(identities, n: int, live, alive):
     contexts = {r: [(h, shape[:i], shape[i + 1:]) for shape in live[r + 1]
                     for h, i in enumerate(i for i, t in enumerate(shape) if not t)]
                 for r in range(n - 1)}
-    for templates, swaps in identities:
+    for templates in identities:
         m = len(templates[0][1])  # >= 2: a multilinear identity in one variable is v1
         for sizes in itertools.product(range(1, n), repeat=m):
             width = sum(sizes)
@@ -314,8 +297,6 @@ def _patterns(identities, n: int, live, alive):
             starts = list(itertools.accumulate(sizes, initial=0))
             term_live = members[width] if width < n else alive
             for blocks in itertools.product(*(live[k] for k in sizes)):
-                if any(blocks[a] > blocks[b] for a, b, _ in swaps):
-                    continue  # the same rows as its swap
                 terms = []
                 for segs, slots, c in templates:
                     shape = sum((seg + blocks[k] for seg, k in zip(segs, slots)), ())
@@ -330,9 +311,8 @@ def _patterns(identities, n: int, live, alive):
 def _live_shapes(monomials: list, identities: list, n: int) -> dict[int, list]:
     """{k: the live shapes of degree k} for k = 1..n, of an identity set
     given by its single-term ``monomials`` (preorders) and its other
-    ``identities`` (int templates, block swaps).  The field enters only
-    through these: over GF(p) the coefficients are reduced mod p and the
-    swaps decided mod p.
+    ``identities`` (int templates).  The field enters only through these:
+    over GF(p) the coefficients are reduced mod p.
 
     At each degree k, bottom-up, a shape is dead if a monomial pattern has
     an instance in it; then, until nothing changes, a consequence pattern
@@ -373,18 +353,19 @@ def relation_rows(ids: IdentitySet, md: Mapping[int, int], field=QQ,
     p = field.char
     monomials, identities = [], []
     for f in ids.identities:
-        if 0 < p <= max(poly_multidegree(f, "v").values()):
+        vmd = poly_multidegree(f, "v")
+        if 0 < p <= max(vmd.values()):
             raise ValueError(f"{ids.name} repeats a variable {p} or more "
                              f"times: linearization loses information in "
                              f"characteristic {p}")
-        lin = linearize(f)
-        if len(poly_variables(lin)) > n:
+        if md_total(vmd) > n:
             continue
+        lin = linearize(f)
         templates = _templates(lin, _coefficients(lin, field, f, f"of {ids.name}")[0])
         if len(templates) == 1:
             monomials.append(sum((seg + (0,) for seg in templates[0][0]), ()))
         elif templates:
-            identities.append((templates, _symmetries(templates, p)))
+            identities.append(templates)
     live = _live_shapes(monomials, identities, n)
 
     seqs = leaf_sequences(md)

@@ -71,6 +71,12 @@ def test_dim_unknown_preset(capsys):
     assert capsys.readouterr().err.strip() == "error: unknown identity preset 'nosuch'"
 
 
+def test_dim_identity_file_that_cannot_be_read(capsys, tmp_path):
+    # a directory passes the existence test but cannot be opened as a file
+    err = fail(capsys, "dim", "--identities", str(tmp_path), "--multidegree", "1,1")
+    assert str(tmp_path) in err
+
+
 def test_basis(capsys):
     code, out = run(capsys, "basis", "--identities", "wnov2",
                     "--multidegree", "1,1")
